@@ -358,7 +358,12 @@ void BM_CampaignSeqpair(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * config.trials);
 }
-BENCHMARK(BM_CampaignSeqpair)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignSeqpair)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime() // with >1 worker the trials run off the main thread
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Scenario(benchmark::State& state, const char* name) {
     const core::AttackEngine engine(attack::default_registry());

@@ -7,9 +7,13 @@
 // trial a fresh chip / enrollment / victim derived from its own seed, and
 // aggregates the per-trial AttackReports into a CampaignSummary.
 //
+// Trials run on core::WorkPool (core/pool.hpp), the pool every parallel
+// loop in ropuf shares: workers claim trial indices from one atomic
+// counter and write each report into its trial's slot.
+//
 // Reproducibility contract: per-trial seeds are derived from the master
 // seed via rng::Xoshiro256pp::split() — a sequential walk of jump()-spaced
-// streams computed *before* any worker starts. Trial t therefore sees the
+// streams computed *before* the pool starts. Trial t therefore sees the
 // same seed whether the campaign runs on 1 worker or 64, and every
 // aggregate is folded in trial order, so campaign results are bitwise
 // identical for a fixed master seed regardless of worker count (wall-clock
@@ -38,7 +42,7 @@ namespace ropuf::core {
 /// Knobs of one campaign.
 struct CampaignConfig {
     int trials = 100;             ///< independent chips to manufacture
-    int workers = 0;              ///< worker threads; 0 = hardware_concurrency
+    int workers = 0;              ///< worker threads; 0 = hardware_concurrency (see WorkPool)
     std::uint64_t master_seed = 1;///< root of the per-trial seed streams
     ScenarioParams base;          ///< shared scenario knobs (seed is overridden per trial)
     bool keep_reports = true;     ///< retain the per-trial reports in the summary
@@ -110,8 +114,9 @@ public:
     static std::uint64_t job_seed(std::uint64_t root, int index);
 
     /// Runs `trials` independent instances of one scenario; throws
-    /// std::out_of_range for unknown names. Worker exceptions are collected
-    /// and the first one is rethrown after the pool drains.
+    /// std::out_of_range for unknown names. A throwing trial stops the pool
+    /// claiming further trials; the first exception is rethrown once the
+    /// trials in flight finish.
     CampaignSummary run(std::string_view scenario_name,
                         const CampaignConfig& config = {}) const;
 

@@ -4,12 +4,11 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <thread>
 
 #include "ropuf/core/attack_engine.hpp" // append_json_escaped
 #include "ropuf/core/errors.hpp"
+#include "ropuf/core/pool.hpp"
 #include "ropuf/fi/injector.hpp"
 #include "ropuf/fleet/enroll.hpp"
 #include "ropuf/obs/metrics.hpp"
@@ -19,61 +18,6 @@
 namespace ropuf::fleet {
 
 namespace {
-
-/// Bounded, pre-filled, fence-free Chase–Lev-style deque.
-///
-/// The buffer is written once, single-threaded, before any worker thread
-/// exists (publication happens-before via thread creation) and is
-/// read-only afterwards, so only the two indices need atomics. Both use
-/// seq_cst: the classic formulation's acquire/release + thread fences is
-/// exactly the pattern TSan cannot model, and this scheduler must pass
-/// the tsan CI leg with an empty suppression file. Shards are coarse
-/// (64 devices ≈ milliseconds of work), so index-op cost is irrelevant.
-class ShardDeque {
-public:
-    enum class Steal { got, empty, contended };
-
-    /// Single-threaded pre-fill; must complete before workers spawn.
-    void fill(std::vector<std::uint64_t> items) {
-        buf_ = std::move(items);
-        top_.store(0);
-        bottom_.store(static_cast<long long>(buf_.size()));
-    }
-
-    /// Owner end (bottom). False = deque empty.
-    bool take(std::uint64_t& out) {
-        const long long b = bottom_.load() - 1;
-        bottom_.store(b);
-        long long t = top_.load();
-        if (t <= b) {
-            out = buf_[static_cast<std::size_t>(b)];
-            if (t == b) {
-                // Last element: race the thieves for it.
-                const bool won = top_.compare_exchange_strong(t, t + 1);
-                bottom_.store(b + 1);
-                return won;
-            }
-            return true;
-        }
-        bottom_.store(b + 1);
-        return false;
-    }
-
-    /// Thief end (top). `contended` means a concurrent take/steal won the
-    /// CAS — the caller should re-sweep, not conclude emptiness.
-    Steal steal(std::uint64_t& out) {
-        long long t = top_.load();
-        const long long b = bottom_.load();
-        if (t >= b) return Steal::empty;
-        out = buf_[static_cast<std::size_t>(t)];
-        return top_.compare_exchange_strong(t, t + 1) ? Steal::got : Steal::contended;
-    }
-
-private:
-    std::vector<std::uint64_t> buf_;
-    std::atomic<long long> top_{0};
-    std::atomic<long long> bottom_{0};
-};
 
 /// Everything one shard reports back: exact integer aggregates plus the
 /// host-bound timing/fault side data.
@@ -87,7 +31,6 @@ struct ShardOutcome {
     std::uint64_t bit_errors = 0;
     std::uint64_t measurements = 0;
     double wall_ms = 0.0;
-    bool stolen = false;
     bool failed = false;
     core::JobError error;
 };
@@ -136,8 +79,6 @@ std::string shard_record_line(const FleetSpec& spec, const std::string& hash,
     std::snprintf(buf, sizeof buf, ",\"timing\":{\"wall_ms\":%.3f,\"workers\":%d",
                   o.wall_ms, workers);
     line += buf;
-    line += ",\"stolen\":";
-    line += o.stolen ? "true" : "false";
     line += ",\"hardware_concurrency\":" +
             std::to_string(std::thread::hardware_concurrency());
     line += ",\"simd\":\"";
@@ -205,62 +146,24 @@ ShardOutcome run_shard(const Population& population, const EnrollmentMap& enroll
     return o;
 }
 
-/// Commits shard records to the writer in shard order regardless of
-/// completion order, and folds aggregates into the run stats. Pending
-/// lines are bounded by scheduling skew (worst case the shard count, a
-/// few hundred small strings — never O(fleet devices)).
-class Committer {
-public:
-    Committer(xp::ResultWriter& writer, FleetRunStats& stats, int trials_per_device)
-        : writer_(writer), stats_(stats), trials_per_device_(trials_per_device) {}
-
-    void commit(std::size_t order_index, std::string line, const ShardOutcome& o) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        pending_.emplace(order_index, std::move(line));
-        fold(o);
-        while (!pending_.empty() && pending_.begin()->first == next_) {
-            try {
-                writer_.append_line(pending_.begin()->second);
-            } catch (const std::exception&) {
-                // Store fault (injected or real): the record is lost, the
-                // shard stays incomplete on disk, resume re-runs it. The
-                // writer has already marked its torn tail.
-                ++stats_.store_faults;
-            }
-            pending_.erase(pending_.begin());
-            ++next_;
-        }
+/// Folds one shard's aggregates into the run stats.
+void fold(FleetRunStats& stats, const ShardOutcome& o, int trials_per_device) {
+    if (o.failed) {
+        ++stats.failed;
+        return;
     }
-
-private:
-    void fold(const ShardOutcome& o) {
-        if (o.failed) {
-            ++stats_.failed;
-            return;
-        }
-        ++stats_.executed;
-        stats_.devices += o.device_count;
-        stats_.devices_ok += o.devices_ok;
-        stats_.trials += static_cast<std::uint64_t>(o.device_count) *
-                         static_cast<std::uint64_t>(trials_per_device_);
-        stats_.trials_ok += o.trials_ok;
-        stats_.bit_errors += o.bit_errors;
-        stats_.measurements += o.measurements;
-        stats_.steals += o.stolen ? 1 : 0;
-        for (std::size_t k = 0; k < o.success_hist.size() && k < stats_.success_hist.size();
-             ++k) {
-            stats_.success_hist[k] += o.success_hist[k];
-        }
+    ++stats.executed;
+    stats.devices += o.device_count;
+    stats.devices_ok += o.devices_ok;
+    stats.trials += static_cast<std::uint64_t>(o.device_count) *
+                    static_cast<std::uint64_t>(trials_per_device);
+    stats.trials_ok += o.trials_ok;
+    stats.bit_errors += o.bit_errors;
+    stats.measurements += o.measurements;
+    for (std::size_t k = 0; k < o.success_hist.size() && k < stats.success_hist.size(); ++k) {
+        stats.success_hist[k] += o.success_hist[k];
     }
-
-private:
-    xp::ResultWriter& writer_;
-    FleetRunStats& stats_;
-    int trials_per_device_;
-    std::mutex mutex_;
-    std::map<std::size_t, std::string> pending_;
-    std::size_t next_ = 0;
-};
+}
 
 } // namespace
 
@@ -342,127 +245,66 @@ FleetRunStats run_fleet_campaign(const Population& population,
         reg->add(reg->counter("xp.jobs_skipped"), static_cast<double>(stats.skipped));
     }
 
-    const int workers = std::max(1, options.workers);
-    // Shard order index within `pending` → reorder-buffer slot, so output
-    // bytes land in shard order no matter who runs what when.
-    std::map<std::uint64_t, std::size_t> order;
-    for (std::size_t i = 0; i < pending.size(); ++i) order[pending[i]] = i;
-
-    // Pre-fill the deques round-robin before any worker exists. Blocks of
-    // consecutive shards per worker would also work; round-robin keeps
-    // every deque non-empty until the tail, which exercises stealing less
-    // — deliberate, stealing is the slow path for skew, not the default.
-    std::vector<ShardDeque> deques(static_cast<std::size_t>(workers));
-    {
-        std::vector<std::vector<std::uint64_t>> per_worker(
-            static_cast<std::size_t>(workers));
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            per_worker[i % static_cast<std::size_t>(workers)].push_back(pending[i]);
-        }
-        // Owners pop from the bottom: reverse so they run their shards in
-        // ascending order (keeps the reorder buffer shallow).
-        for (std::size_t w = 0; w < per_worker.size(); ++w) {
-            std::reverse(per_worker[w].begin(), per_worker[w].end());
-            deques[w].fill(std::move(per_worker[w]));
-        }
-    }
-
-    Committer committer(writer, stats, spec.trials);
+    const core::WorkPool pool(pending.size(), options.workers, options.stop);
+    const int workers = pool.workers();
     const std::string hash = fleet_spec_hash(spec);
-    std::atomic<bool> sigint_seen{false};
-
-    auto worker_loop = [&](int w) {
-        if (obs::TraceSink* sink = obs::trace()) {
-            sink->set_thread_name("fleet-worker-" + std::to_string(w));
+    // Records reach the writer in `pending` order no matter which worker
+    // finishes first, so the bytes on disk are schedule-independent.
+    core::OrderedCommitter<ShardOutcome> committer([&](ShardOutcome& o) {
+        fold(stats, o, spec.trials);
+        try {
+            writer.append_line(shard_record_line(spec, hash, o, workers));
+        } catch (const std::exception&) {
+            // Store fault (injected or real): the record is lost, the
+            // shard stays incomplete on disk, resume re-runs it. The
+            // writer has already marked its torn tail.
+            ++stats.store_faults;
         }
-        std::vector<std::vector<double>> scratch;
-        std::uint64_t shard = 0;
-        for (;;) {
-            if (options.stop != nullptr && options.stop->load()) {
-                sigint_seen.store(true);
-                break;
-            }
-            bool stolen = false;
-            if (!deques[static_cast<std::size_t>(w)].take(shard)) {
-                bool found = false;
-                for (;;) {
-                    bool contended = false;
-                    for (int v = 1; v < workers && !found; ++v) {
-                        const auto r =
-                            deques[static_cast<std::size_t>((w + v) % workers)].steal(shard);
-                        if (r == ShardDeque::Steal::got) {
-                            found = true;
-                            stolen = true;
-                        } else if (r == ShardDeque::Steal::contended) {
-                            contended = true;
-                        }
-                    }
-                    if (found || !contended) break;
-                    // Lost a race against a non-empty deque: sweep again.
-                }
-                // Nothing anywhere and nothing contended: the pre-filled
-                // pool is dry for good (no worker ever pushes), so done.
-                if (!found) break;
-            }
+    });
+    std::vector<std::vector<std::vector<double>>> scratch(static_cast<std::size_t>(workers));
 
-            const auto t0 = std::chrono::steady_clock::now();
-            ShardOutcome o;
-            try {
-                if (options.injector != nullptr) {
-                    const int hang_ms =
-                        options.injector->job_fault(static_cast<int>(shard), 1);
-                    if (hang_ms > 0) {
-                        ROPUF_OBS_COUNT("fi.injected.job_hang", 1);
-                        std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
-                    }
+    stats.stopped = pool.run([&](std::size_t i, int w) {
+        const std::uint64_t shard = pending[i];
+        const auto t0 = std::chrono::steady_clock::now();
+        ShardOutcome o;
+        try {
+            if (options.injector != nullptr) {
+                const int hang_ms =
+                    options.injector->job_fault(static_cast<int>(shard), 1);
+                if (hang_ms > 0) {
+                    ROPUF_OBS_COUNT("fi.injected.job_hang", 1);
+                    std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
                 }
-                if (obs::TraceSink* sink = obs::trace()) {
-                    sink->begin("fleet.shard", "{\"shard\":" + std::to_string(shard) + "}");
-                }
-                o = run_shard(population, enrollment, shard, scratch);
-                if (obs::TraceSink* sink = obs::trace()) sink->end();
-                ROPUF_OBS_COUNT("xp.jobs_done", 1);
-                ROPUF_OBS_COUNT("fleet.shards_done", 1);
-                ROPUF_OBS_COUNT("fleet.devices_done", o.device_count);
-                ROPUF_OBS_COUNT("campaign.trials",
-                                static_cast<double>(o.device_count) * spec.trials);
-            } catch (const fi::InjectedFault& e) {
-                if (obs::TraceSink* sink = obs::trace()) sink->end();
-                o.shard = shard;
-                o.device_first = shard * kShardDevices;
-                o.device_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    kShardDevices, spec.devices - o.device_first));
-                o.failed = true;
-                o.error = {core::JobErrorClass::injected_fault, e.what()};
-                ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
-            } catch (const std::exception& e) {
-                if (obs::TraceSink* sink = obs::trace()) sink->end();
-                o.shard = shard;
-                o.device_first = shard * kShardDevices;
-                o.device_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    kShardDevices, spec.devices - o.device_first));
-                o.failed = true;
-                o.error = {core::JobErrorClass::scenario_exception, e.what()};
-                ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
             }
-            o.stolen = stolen;
-            o.wall_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-            committer.commit(order[shard], shard_record_line(spec, hash, o, workers), o);
+            if (obs::TraceSink* sink = obs::trace()) {
+                sink->begin("fleet.shard", "{\"shard\":" + std::to_string(shard) + "}");
+            }
+            o = run_shard(population, enrollment, shard,
+                          scratch[static_cast<std::size_t>(w)]);
+            if (obs::TraceSink* sink = obs::trace()) sink->end();
+            ROPUF_OBS_COUNT("xp.jobs_done", 1);
+            ROPUF_OBS_COUNT("fleet.shards_done", 1);
+            ROPUF_OBS_COUNT("fleet.devices_done", o.device_count);
+            ROPUF_OBS_COUNT("campaign.trials",
+                            static_cast<double>(o.device_count) * spec.trials);
+        } catch (const std::exception& e) {
+            if (obs::TraceSink* sink = obs::trace()) sink->end();
+            o.shard = shard;
+            o.device_first = shard * kShardDevices;
+            o.device_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                kShardDevices, spec.devices - o.device_first));
+            o.failed = true;
+            o.error = {dynamic_cast<const fi::InjectedFault*>(&e) != nullptr
+                           ? core::JobErrorClass::injected_fault
+                           : core::JobErrorClass::scenario_exception,
+                       e.what()};
+            ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
         }
-    };
-
-    if (workers == 1) {
-        worker_loop(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) threads.emplace_back(worker_loop, w);
-        for (std::thread& t : threads) t.join();
-    }
-
-    if (sigint_seen.load()) stats.stopped = true;
+        o.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+        committer.commit(i, std::move(o));
+    });
     return stats;
 }
 

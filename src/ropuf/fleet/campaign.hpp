@@ -1,25 +1,14 @@
 // Fleet campaigns: reconstruction trials over an enrolled population,
-// sharded over devices, scheduled by work stealing, aggregated streaming.
+// sharded over devices, run on the shared work pool, aggregated streaming.
 //
 // Execution model
 // ---------------
 // The population splits into fixed shards of kShardDevices consecutive
 // devices. Shards — not trials, not devices — are the scheduling unit:
-// each worker owns a bounded Chase–Lev-style deque, pre-filled round-robin
-// with the run's pending shards *before* any worker thread starts (so the
-// deque buffers need no atomics: publication happens-before via thread
-// creation). A worker pops its own deque from the bottom; when empty it
-// steals from the top of the other workers' deques. This replaces the xp
-// CampaignRunner's precomputed schedule: a slow shard (or a hang-injected
-// worker) no longer stalls the tail of the run — idle workers steal the
-// victim's remaining shards.
-//
-// Memory ordering: top and bottom use seq_cst atomics throughout, no
-// fences. The textbook Chase–Lev formulation relies on
-// std::atomic_thread_fence, which TSan does not model — this runs under
-// the CI tsan leg with an empty suppression file, so the deque is written
-// in the fence-free style TSan can verify. Steals are rare (only when a
-// deque runs dry) and shards are coarse, so the seq_cst cost is noise.
+// the run's pending shards form the index range of one core::WorkPool
+// (core/pool.hpp), whose workers claim the next shard from a shared
+// atomic counter. A slow shard (or a hang-injected one) holds up only the
+// worker running it; the others keep claiming the shards behind it.
 //
 // Determinism
 // -----------
@@ -28,9 +17,9 @@
 //   * every measurement of device d draws from streams keyed on
 //     (campaign phase, d) — never on the worker or the schedule;
 //   * shard aggregates are integers, accumulated per shard;
-//   * shard records are committed to the JSONL writer through a reorder
-//     buffer in shard order, so the bytes on disk are schedule-independent.
-// The {1, 2, 8}-worker and steal-skew pins in tests/test_fleet.cpp hold
+//   * shard records reach the JSONL writer through core::OrderedCommitter
+//     in shard order, so the bytes on disk are schedule-independent.
+// The {1, 2, 8}-worker and hang-skew pins in tests/test_fleet.cpp hold
 // the property.
 //
 // Fault tolerance mirrors xp: the fi job seams fire per shard (job_hang /
@@ -56,7 +45,7 @@ class Injector;
 namespace ropuf::fleet {
 
 struct FleetCampaignOptions {
-    int workers = 1;
+    int workers = 1; ///< pool workers; 0 = hardware concurrency (see core::WorkPool)
     /// Dispatch at most this many not-yet-done shards (< 0 = all): the
     /// deterministic interruption knob resume tests drive.
     long long max_shards = -1;
@@ -78,7 +67,9 @@ struct FleetRunStats {
     std::uint64_t trials_ok = 0;
     std::uint64_t bit_errors = 0;
     std::uint64_t measurements = 0;
-    std::uint64_t steals = 0;       ///< shards executed off a stolen deque entry
+    /// Always 0: the shared pool has no per-worker queues to steal from.
+    /// Kept because external drivers still read it.
+    std::uint64_t steals = 0;
     std::uint64_t store_faults = 0; ///< records lost to store faults (resume re-runs)
     /// success_hist[k] = devices for which exactly k trials succeeded.
     std::vector<std::uint64_t> success_hist;

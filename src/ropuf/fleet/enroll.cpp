@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "ropuf/core/pool.hpp"
 #include "ropuf/obs/metrics.hpp"
 
 namespace ropuf::fleet {
@@ -62,25 +63,36 @@ EnrollmentRecord enroll_device(const Population& population, std::uint64_t devic
 }
 
 std::uint64_t enroll_population(const Population& population, EnrollmentWriter& writer,
-                                const std::atomic<bool>* stop) {
+                                int workers, const std::atomic<bool>* stop) {
     const FleetSpec& spec = population.spec();
-    std::uint64_t enrolled = 0;
-    std::vector<std::vector<double>> out;
-    while (writer.next_device() < spec.devices) {
-        if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
-        const std::uint64_t first = writer.next_device();
+    const std::uint64_t start = writer.next_device();
+    const std::uint64_t shards = (spec.devices - start + kShardDevices - 1) / kShardDevices;
+    const core::WorkPool pool(static_cast<std::size_t>(shards), workers, stop);
+    std::vector<std::vector<std::vector<double>>> scratch(
+        static_cast<std::size_t>(pool.workers()));
+    // The writer only takes records in device order, so shards commit in
+    // index order; a writer fault escapes to the caller after the records
+    // before it have landed.
+    core::OrderedCommitter<std::vector<EnrollmentRecord>> committer(
+        [&writer](std::vector<EnrollmentRecord>& records) {
+            for (const EnrollmentRecord& rec : records) writer.append(rec);
+            ROPUF_OBS_COUNT("fleet.devices_enrolled", static_cast<double>(records.size()));
+        });
+    pool.run([&](std::size_t shard, int worker) {
+        const std::uint64_t first = start + shard * kShardDevices;
         const std::size_t count = static_cast<std::size_t>(
             std::min<std::uint64_t>(kShardDevices, spec.devices - first));
-        sim::RoFleet fleet =
-            population.manufacture_shard(first, count, Population::Phase::enroll);
-        fleet.measure_batch(sim::Condition{}, spec.enroll_samples, out);
+        std::vector<std::vector<double>>& out = scratch[static_cast<std::size_t>(worker)];
+        population.manufacture_shard(first, count, Population::Phase::enroll)
+            .measure_batch(sim::Condition{}, spec.enroll_samples, out);
+        std::vector<EnrollmentRecord> records;
+        records.reserve(count);
         for (std::size_t i = 0; i < count; ++i) {
-            writer.append(record_from_scans(spec, first + i, out[i]));
-            ++enrolled;
+            records.push_back(record_from_scans(spec, first + i, out[i]));
         }
-        ROPUF_OBS_COUNT("fleet.devices_enrolled", static_cast<double>(count));
-    }
-    return enrolled;
+        committer.commit(shard, std::move(records));
+    });
+    return writer.next_device() - start;
 }
 
 } // namespace ropuf::fleet

@@ -8,10 +8,13 @@
 // are stored sorted ascending, so the helper is a canonical set, not a
 // ranking (rank would leak more than the paper's schemes do).
 //
-// Devices enroll in shards of kEnrollShard through RoFleet::measure_batch,
+// Devices enroll in shards of kShardDevices through RoFleet::measure_batch,
 // so the SIMD kernels see a full device batch per call; memory stays
-// O(shard). Enrollment is resumable: the writer knows the valid record
-// prefix, and enroll_population simply continues from there — records are
+// O(shard) per worker. Shards run on the shared core::WorkPool and their
+// records reach the writer through core::OrderedCommitter in device order,
+// so the store bytes do not depend on the worker count. Enrollment is
+// resumable: the writer knows the valid record prefix, and
+// enroll_population simply continues from there — records are
 // deterministic per device, so a resumed store is byte-identical to a
 // clean one.
 #pragma once
@@ -34,9 +37,12 @@ inline constexpr std::size_t kShardDevices = 64;
 EnrollmentRecord enroll_device(const Population& population, std::uint64_t device);
 
 /// Enrolls every not-yet-enrolled device (writer.next_device() onward)
-/// into `writer`. Checks `stop` between shards when non-null (SIGINT);
-/// returns the number of devices enrolled by this call.
+/// into `writer` on `workers` pool workers (0 = hardware concurrency).
+/// Checks `stop` between shards when non-null (SIGINT); returns the number
+/// of devices enrolled by this call. A writer fault propagates once the
+/// shards in flight finish; the store then holds every record before the
+/// faulted one, so calling again retries from there.
 std::uint64_t enroll_population(const Population& population, EnrollmentWriter& writer,
-                                const std::atomic<bool>* stop = nullptr);
+                                int workers, const std::atomic<bool>* stop = nullptr);
 
 } // namespace ropuf::fleet

@@ -1,14 +1,22 @@
 // Campaign runner: parallel Monte-Carlo execution must be bitwise
 // reproducible — the same master seed yields the same per-trial reports and
-// the same aggregates regardless of worker count or repetition.
+// the same aggregates regardless of worker count or repetition. Also the
+// contracts of the work pool and in-order committer the runner (and the
+// fleet engine) run on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/core/campaign.hpp"
+#include "ropuf/core/pool.hpp"
 
 namespace {
 
@@ -18,8 +26,10 @@ using ropuf::core::CampaignConfig;
 using ropuf::core::CampaignRunner;
 using ropuf::core::CampaignSummary;
 using ropuf::core::MetricSummary;
+using ropuf::core::OrderedCommitter;
 using ropuf::core::ScenarioParams;
 using ropuf::core::summarize_metric;
+using ropuf::core::WorkPool;
 
 /// Everything except wall-clock fields, which measure the host.
 void expect_reports_identical(const AttackReport& a, const AttackReport& b) {
@@ -238,6 +248,149 @@ TEST(SummarizeMetric, KnownValues) {
     const MetricSummary single = summarize_metric({7.0});
     EXPECT_DOUBLE_EQ(single.p95, 7.0);
     EXPECT_DOUBLE_EQ(single.stddev, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// WorkPool and OrderedCommitter
+// ---------------------------------------------------------------------------
+
+TEST(WorkPool, ResolvesAndClampsTheWorkerCount) {
+    const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    EXPECT_EQ(WorkPool(1000, 0).workers(), std::min(hw, 1000)); // 0 = hardware
+    EXPECT_EQ(WorkPool(1000, -1).workers(), std::min(hw, 1000));
+    EXPECT_EQ(WorkPool(1000, 5).workers(), 5);
+    EXPECT_EQ(WorkPool(3, 8).workers(), 3); // never more workers than items
+    EXPECT_EQ(WorkPool(0, 8).workers(), 1);
+    EXPECT_EQ(WorkPool(0, 0).workers(), 1);
+}
+
+TEST(WorkPool, RunsEveryIndexExactlyOnce) {
+    for (const int workers : {1, 2, 8}) {
+        std::vector<std::atomic<int>> hits(500);
+        std::atomic<int> bad_worker{0};
+        const WorkPool pool(hits.size(), workers);
+        EXPECT_FALSE(pool.run([&](std::size_t i, int w) {
+            hits[i].fetch_add(1);
+            if (w < 0 || w >= pool.workers()) bad_worker.fetch_add(1);
+        }));
+        for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << workers << " workers";
+        EXPECT_EQ(bad_worker.load(), 0);
+    }
+}
+
+TEST(WorkPool, RethrowsTheFirstExceptionAndClaimsNothingAfterIt) {
+    // Inline: indices claim in order, so the throw is the last index run.
+    std::vector<std::size_t> ran;
+    const WorkPool serial(10, 1);
+    EXPECT_THROW(serial.run([&](std::size_t i, int) {
+                     ran.push_back(i);
+                     if (i == 3) throw std::runtime_error("item 3");
+                 }),
+                 std::runtime_error);
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+    // Parallel: every other item waits for the throw, then lingers long
+    // enough for the pool to record it. Each worker may finish the one
+    // item it already held; none may claim another.
+    const WorkPool pool(1000, 4);
+    ASSERT_GT(pool.workers(), 1);
+    std::atomic<bool> thrown{false};
+    std::atomic<int> after{0};
+    try {
+        pool.run([&](std::size_t i, int) {
+            if (i == 0) {
+                thrown.store(true);
+                throw std::runtime_error("item 0");
+            }
+            while (!thrown.load()) std::this_thread::yield();
+            after.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        });
+        ADD_FAILURE() << "the pool swallowed the exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "item 0");
+    }
+    EXPECT_LE(after.load(), pool.workers() - 1);
+}
+
+TEST(WorkPool, StopFlagHaltsClaiming) {
+    std::atomic<bool> stop{false};
+    std::vector<std::size_t> ran;
+    const WorkPool serial(10, 1, &stop);
+    EXPECT_TRUE(serial.run([&](std::size_t i, int) {
+        ran.push_back(i);
+        if (i == 2) stop.store(true);
+    }));
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
+
+    // Already set: nothing is claimed.
+    std::atomic<int> count{0};
+    const WorkPool preset(100, 4, &stop);
+    EXPECT_TRUE(preset.run([&](std::size_t, int) { count.fetch_add(1); }));
+    EXPECT_EQ(count.load(), 0);
+
+    // Raised by the last item, with nothing left to claim: not a stop.
+    stop.store(false);
+    const WorkPool last(3, 1, &stop);
+    EXPECT_FALSE(last.run([&](std::size_t i, int) {
+        if (i == 2) stop.store(true);
+    }));
+
+    // Raised mid-run on a parallel pool: items past the trigger wait for
+    // the flag, so each worker finishes at most the one it holds.
+    stop.store(false);
+    count.store(0);
+    const WorkPool pool(1000, 4, &stop);
+    EXPECT_TRUE(pool.run([&](std::size_t i, int) {
+        count.fetch_add(1);
+        if (i == 10) stop.store(true);
+        while (i > 10 && !stop.load()) std::this_thread::yield();
+    }));
+    EXPECT_LE(count.load(), 11 + pool.workers() - 1);
+}
+
+TEST(OrderedCommitter, DeliversInIndexOrderWhateverTheCommitOrder) {
+    std::vector<int> delivered;
+    OrderedCommitter<int> committer([&](int& v) { delivered.push_back(v); });
+    committer.commit(3, 30);
+    committer.commit(1, 10);
+    committer.commit(4, 40);
+    EXPECT_TRUE(delivered.empty()); // index 0 still missing
+    committer.commit(0, 0);
+    EXPECT_EQ(delivered, (std::vector<int>{0, 10}));
+    committer.commit(2, 20);
+    EXPECT_EQ(delivered, (std::vector<int>{0, 10, 20, 30, 40}));
+}
+
+TEST(OrderedCommitter, AThrowingSinkEndsDelivery) {
+    std::vector<int> delivered;
+    OrderedCommitter<int> committer([&](int& v) {
+        if (v == 2) throw std::runtime_error("sink");
+        delivered.push_back(v);
+    });
+    committer.commit(1, 1);
+    committer.commit(3, 3);
+    committer.commit(2, 2);
+    EXPECT_THROW(committer.commit(0, 0), std::runtime_error);
+    committer.commit(4, 4); // dropped: nothing after a failed index
+    EXPECT_EQ(delivered, (std::vector<int>{0, 1}));
+}
+
+TEST(OrderedCommitter, FedByAParallelPoolStillDeliversInOrder) {
+    for (const int workers : {2, 8}) {
+        std::vector<std::size_t> delivered;
+        OrderedCommitter<std::size_t> committer(
+            [&](std::size_t& v) { delivered.push_back(v); });
+        const WorkPool pool(400, workers);
+        pool.run([&](std::size_t i, int) {
+            // Early indices finish last, so commits arrive out of order.
+            if (i % 50 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            committer.commit(i, i);
+        });
+        std::vector<std::size_t> expected(400);
+        std::iota(expected.begin(), expected.end(), std::size_t{0});
+        EXPECT_EQ(delivered, expected) << workers << " workers";
+    }
 }
 
 } // namespace

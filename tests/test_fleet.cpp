@@ -4,8 +4,9 @@
 //   * order independence: a device manufactured / measured / enrolled alone
 //     is bit-identical to the same device inside any shard;
 //   * scheduler determinism: campaign output bytes (deterministic prefixes)
-//     are identical across {1, 2, 8} workers, under forced steal skew
-//     (fi job_hang), and across interrupted-then-resumed runs;
+//     and enrollment store bytes are identical across {1, 2, 8} workers,
+//     under a forced schedule skew (fi job_hang), and across interrupted
+//     (stop flag, quota, store fault) then resumed runs;
 //   * binary-store crash tolerance: truncating the store at EVERY byte
 //     offset of its tail record loses at most that record, the reader
 //     never throws, and a resumed writer rebuilds the clean file bitwise
@@ -17,11 +18,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ropuf/fi/fault_plan.hpp"
@@ -84,10 +88,11 @@ std::vector<std::string> deterministic_lines(const std::string& path) {
     return lines;
 }
 
-void enroll_into(const fleet::Population& population, const std::string& store_path) {
+void enroll_into(const fleet::Population& population, const std::string& store_path,
+                 int workers = 1) {
     fleet::EnrollmentWriter writer(store_path, fleet::make_store_header(population.spec()),
                                    /*truncate=*/true);
-    fleet::enroll_population(population, writer);
+    fleet::enroll_population(population, writer, workers);
     ASSERT_EQ(writer.next_device(), population.devices());
 }
 
@@ -202,6 +207,93 @@ TEST(FleetEnroll, SingleDeviceEnrollmentMatchesShardedEnrollment) {
     std::remove(store_path.c_str());
 }
 
+TEST(FleetEnroll, StoreBytesAreIdenticalAcrossWorkerCounts) {
+    const fleet::Population population(fleet::parse_fleet_spec(kSpecText));
+    const std::string base_path = temp_path("enr_w1", ".fleet");
+    enroll_into(population, base_path, 1);
+    const std::string base = read_bytes(base_path);
+    for (const int workers : {2, 8}) {
+        const std::string path = temp_path("enr_wn", ".fleet");
+        enroll_into(population, path, workers);
+        EXPECT_EQ(read_bytes(path), base) << workers << " workers";
+        std::remove(path.c_str());
+    }
+    std::remove(base_path.c_str());
+}
+
+TEST(FleetEnroll, StoppedParallelEnrollResumesToTheCleanBytes) {
+    fleet::FleetSpec spec = fleet::parse_fleet_spec(kSpecText);
+    spec.devices = 16384; // 256 shards: long enough to stop part-way through
+    const fleet::Population population(spec);
+    const std::string clean_path = temp_path("enr_stop_clean", ".fleet");
+    enroll_into(population, clean_path, 4);
+
+    const std::string path = temp_path("enr_stop", ".fleet");
+    const std::uintmax_t one_shard =
+        fleet::kStoreHeaderBytes + fleet::kShardDevices * fleet::record_bytes_for(spec.key_bits);
+    std::atomic<bool> stop{false};
+    std::uint64_t first = 0;
+    {
+        fleet::EnrollmentWriter writer(path, fleet::make_store_header(spec), /*truncate=*/true);
+        // Records are flushed one by one, so the file size shows progress:
+        // raise the flag (as the SIGINT handler would) once a shard landed.
+        std::thread stopper([&] {
+            while (std::filesystem::file_size(path) < one_shard) std::this_thread::yield();
+            stop.store(true, std::memory_order_relaxed);
+        });
+        first = fleet::enroll_population(population, writer, 4, &stop);
+        stopper.join();
+    }
+    // Claimed shards always finish, so the stopped store is whole shards.
+    EXPECT_GE(first, fleet::kShardDevices);
+    EXPECT_EQ(first % fleet::kShardDevices, 0u);
+    {
+        fleet::EnrollmentWriter writer(path, fleet::make_store_header(spec));
+        EXPECT_EQ(writer.next_device(), first);
+        EXPECT_EQ(fleet::enroll_population(population, writer, 4), spec.devices - first);
+    }
+    EXPECT_EQ(read_bytes(path), read_bytes(clean_path));
+    std::remove(path.c_str());
+    std::remove(clean_path.c_str());
+}
+
+TEST(FleetEnroll, StoreFaultsThenRetryReachTheCleanBytes) {
+    const fleet::Population population(fleet::parse_fleet_spec(kSpecText));
+    const std::string clean_path = temp_path("enr_fault_clean", ".fleet");
+    enroll_into(population, clean_path);
+    const std::string clean = read_bytes(clean_path);
+    std::vector<int> faults;
+    for (const int workers : {1, 4}) {
+        const std::string path = temp_path("enr_fault", ".fleet");
+        fi::Injector injector(
+            fi::parse_fault_plan("seed(7);store_write_fail(p=0.02);torn_write(every=29)"));
+        int seen = 0;
+        {
+            fleet::EnrollmentWriter writer(path, fleet::make_store_header(population.spec()),
+                                           /*truncate=*/true);
+            writer.set_fault_injector(&injector);
+            // The CLI's retry loop: a fault escapes enroll_population and
+            // the next call resumes at the faulted record.
+            while (writer.next_device() < population.devices()) {
+                try {
+                    fleet::enroll_population(population, writer, workers);
+                } catch (const fi::InjectedFault&) {
+                    ++seen;
+                    ASSERT_LT(seen, 100) << "fault plan never lets the store finish";
+                }
+            }
+        }
+        EXPECT_GT(seen, 0);
+        EXPECT_EQ(read_bytes(path), clean) << workers << " workers";
+        faults.push_back(seen);
+        std::remove(path.c_str());
+    }
+    // Records reach the writer in the same order at every worker count,
+    // so the injector fires on the same appends.
+    EXPECT_EQ(faults[0], faults[1]);
+    std::remove(clean_path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Binary store: torn tails at every byte offset (the fixed-width mirror of
 // test_xp_store's torn-line property)
@@ -226,17 +318,26 @@ TEST(FleetStore, TruncationAtEveryTailOffsetLosesAtMostOneRecord) {
         EXPECT_EQ(store.record(158).device, 158u);
     }
 
-    // Resume over a torn tail: the writer re-enrolls the lost record and
-    // the rebuilt file is byte-identical to the never-torn one.
-    write_bytes(store_path, clean.substr(0, clean.size() - record_bytes / 2));
-    {
-        fleet::EnrollmentWriter writer(store_path,
-                                       fleet::make_store_header(population.spec()));
-        EXPECT_EQ(writer.next_device(), 159u);
-        fleet::enroll_population(population, writer);
-        EXPECT_EQ(writer.next_device(), 160u);
+    // Resume over a torn tail: the writer re-enrolls from the torn record
+    // on and the rebuilt file is byte-identical to the never-torn one —
+    // whether one record or most of the population is missing, and at
+    // any worker count.
+    for (const std::uint64_t torn : {std::uint64_t{159}, std::uint64_t{20}}) {
+        for (const int workers : {1, 8}) {
+            write_bytes(store_path, clean.substr(0, fleet::kStoreHeaderBytes +
+                                                        torn * record_bytes +
+                                                        record_bytes / 2));
+            {
+                fleet::EnrollmentWriter writer(store_path,
+                                               fleet::make_store_header(population.spec()));
+                EXPECT_EQ(writer.next_device(), torn);
+                EXPECT_EQ(fleet::enroll_population(population, writer, workers), 160 - torn);
+                EXPECT_EQ(writer.next_device(), 160u);
+            }
+            EXPECT_EQ(read_bytes(store_path), clean) << "torn " << torn << ", " << workers
+                                                     << " workers";
+        }
     }
-    EXPECT_EQ(read_bytes(store_path), clean);
     std::remove(store_path.c_str());
 }
 
@@ -316,18 +417,17 @@ TEST_F(FleetCampaignTest, OutputIsBitwiseIdenticalAcrossWorkerCounts) {
     EXPECT_LT(s1.devices_ok, s1.devices);
 }
 
-TEST_F(FleetCampaignTest, ForcedStealSkewDoesNotChangeTheBytes) {
-    const std::string base = results_path("nosteal");
+TEST_F(FleetCampaignTest, ForcedHangSkewDoesNotChangeTheBytes) {
+    const std::string base = results_path("noskew");
     (void)run_campaign(*population_, store_path_, base, 1);
 
-    // Hang the worker that owns shard 0 long enough that its remaining
-    // shard is stolen: steal-heavy and steal-free schedules must agree.
+    // Hang shard 0 long enough that the other worker runs every later
+    // shard first: the skewed schedule and the serial one must agree.
     fi::Injector injector(fi::parse_fault_plan("seed(1);job_hang(ids=0,ms=400)"));
-    const std::string skew = results_path("steal");
+    const std::string skew = results_path("skew");
     const auto stats = run_campaign(*population_, store_path_, skew, 2,
                                     /*max_shards=*/-1, &injector);
     EXPECT_EQ(stats.executed, 3u);
-    EXPECT_GT(stats.steals, 0u);
     EXPECT_EQ(deterministic_lines(skew), deterministic_lines(base));
 }
 

@@ -1,6 +1,7 @@
 // ThreadSanitizer stress surface: every threaded seam the repo owns,
 // deliberately overlapped so a ROPUF_SANITIZE=thread build gets real
-// interleavings to bite on — concurrent campaign worker pools, cross-thread
+// interleavings to bite on — concurrent campaign worker pools, the shared
+// work pool feeding the in-order committer under a stop flag, cross-thread
 // obs registry snapshots racing owner-thread slot updates, trace emission
 // from many tracks racing close(), the progress heartbeat, the executor's
 // watchdog + zombie parking + reaper with a late-finishing abandoned
@@ -24,6 +25,7 @@
 
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/core/campaign.hpp"
+#include "ropuf/core/pool.hpp"
 #include "ropuf/core/sanitizer.hpp"
 #include "ropuf/fi/fault_plan.hpp"
 #include "ropuf/fi/injector.hpp"
@@ -127,6 +129,38 @@ TEST(TsanStress, CampaignPoolVsSnapshotVsTraceVsProgress) {
     const obs::Snapshot final_snap = obs_stack.registry.snapshot();
     EXPECT_GE(final_snap.counter_or("campaign.trials", 0.0), 8.0 * rounds);
     EXPECT_TRUE(obs_stack.sink.close());
+}
+
+// ---------------------------------------------------------------------------
+// The shared work pool feeding the in-order committer while another thread
+// raises the stop flag: claims race on the counter, commits race into the
+// reorder buffer, and the delivered sequence must stay a gap-free prefix.
+// ---------------------------------------------------------------------------
+
+TEST(TsanStress, WorkPoolCommitterVsStopFlag) {
+    const int rounds = ROPUF_TSAN_ENABLED ? 4 : 16;
+    constexpr std::size_t kItems = 2000;
+    for (int round = 0; round < rounds; ++round) {
+        std::atomic<bool> stop{false};
+        std::vector<std::size_t> delivered; // written only by the sink
+        core::OrderedCommitter<std::vector<std::size_t>> committer(
+            [&](std::vector<std::size_t>& payload) { delivered.push_back(payload.front()); });
+        const core::WorkPool pool(kItems, 6, &stop);
+        std::thread stopper([&] {
+            std::this_thread::sleep_for(std::chrono::microseconds(200 * (round % 3)));
+            stop.store(true, std::memory_order_relaxed); // as on_sigint() does
+        });
+        const bool stopped = pool.run([&](std::size_t i, int) {
+            committer.commit(i, std::vector<std::size_t>(i % 7 + 1, i));
+        });
+        stopper.join();
+        for (std::size_t k = 0; k < delivered.size(); ++k) {
+            ASSERT_EQ(delivered[k], k);
+        }
+        if (!stopped) {
+            EXPECT_EQ(delivered.size(), kItems);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@
 //
 //   ropuf fleet info <spec>            canonical fleet spec, hash, shard table
 //   ropuf fleet enroll <spec>          manufacture + enroll into a binary store
-//   ropuf fleet campaign <spec>        work-stealing campaign over the store
+//   ropuf fleet campaign <spec>        reconstruction campaign over the store
 //   ropuf fleet resume <spec> <res>    run exactly the missing shards
 //   ropuf fleet stats <store>          population entropy / collision metrics
 //
 // run/resume options:
 //   -o <file>            results path (default: <spec name>.jsonl)
-//   --workers <n>        campaign worker threads (0 = hardware concurrency)
+//   --workers <n>        worker threads (0 = hardware concurrency)
 //   --max-jobs <n>       stop after executing n jobs (interruption testing)
 //   --max-attempts <n>   per-job attempts before quarantine (default 3)
 //   --job-timeout-ms <n> per-attempt watchdog timeout (0 = none)
@@ -41,12 +41,14 @@
 // did its quota is "done"); 1 = operational error; 2 = usage error;
 // 3 = incomplete-but-resumable (SIGINT, injected worker_abort, or
 // quarantined jobs) — `ropuf resume` finishes the file.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -94,7 +96,7 @@ int usage(std::FILE* out) {
         "\n"
         "run/resume options:\n"
         "  -o <file>            results path (run only; default <spec name>.jsonl)\n"
-        "  --workers <n>        campaign worker threads (0 = hardware concurrency)\n"
+        "  --workers <n>        worker threads (0 = hardware concurrency)\n"
         "  --max-jobs <n>       stop after executing n jobs\n"
         "  --max-attempts <n>   per-job attempts before quarantine (default 3)\n"
         "  --job-timeout-ms <n> per-attempt watchdog timeout in ms (0 = none)\n"
@@ -105,9 +107,14 @@ int usage(std::FILE* out) {
         "                       --no-progress suppresses)\n"
         "  --trace-out <file>   write Chrome trace-event JSON (Perfetto-loadable)\n"
         "\n"
-        "fleet enroll/campaign/resume options (plus the above where they apply):\n"
+        "fleet enroll/campaign/resume options:\n"
         "  --store <file>       enrollment store path (default <spec name>.fleet)\n"
-        "  --max-shards <n>     campaign: dispatch at most n pending shards\n"
+        "  --max-shards <n>     campaign/resume: dispatch at most n pending shards\n"
+        "  enroll takes --workers, --max-attempts (consecutive store faults before\n"
+        "  giving up), --fi, --quiet and the obs options; campaign/resume take -o\n"
+        "  (campaign only), --workers, --fi, --quiet and the obs options.\n"
+        "\n"
+        "Every verb rejects an option it would ignore (exit 2).\n"
         "\n"
         "exit codes: 0 done, 1 error, 2 usage,\n"
         "            3 incomplete but resumable (interrupt/abort/quarantine)\n",
@@ -146,10 +153,16 @@ bool parse_int_arg(const std::string& token, const char* what, int* out) {
     return true;
 }
 
+/// Parses the options of `verb`. `ignored` names the options `verb` has
+/// no use for: each is rejected by name instead of being silently dropped.
 bool parse_options(const std::vector<std::string>& args, std::size_t start, CliOptions& opts,
-                   bool fleet = false) {
+                   const char* verb, std::initializer_list<std::string_view> ignored) {
     for (std::size_t i = start; i < args.size(); ++i) {
         const std::string& arg = args[i];
+        if (std::find(ignored.begin(), ignored.end(), arg) != ignored.end()) {
+            std::fprintf(stderr, "ropuf: %s does not accept %s\n", verb, arg.c_str());
+            return false;
+        }
         const auto next = [&](const char* what) -> const std::string* {
             if (i + 1 >= args.size()) {
                 std::fprintf(stderr, "ropuf: %s expects a value\n", what);
@@ -199,11 +212,11 @@ bool parse_options(const std::vector<std::string>& args, std::size_t start, CliO
             const std::string* v = next("--trace-out");
             if (v == nullptr) return false;
             opts.trace_out = *v;
-        } else if (fleet && arg == "--store") {
+        } else if (arg == "--store") {
             const std::string* v = next("--store");
             if (v == nullptr) return false;
             opts.store = *v;
-        } else if (fleet && arg == "--max-shards") {
+        } else if (arg == "--max-shards") {
             const std::string* v = next("--max-shards");
             if (v == nullptr || !parse_int_arg(*v, "--max-shards", &opts.max_shards)) {
                 return false;
@@ -445,13 +458,6 @@ int cmd_report(const std::string& results_path, bool matrix, bool timings) {
 
 std::string default_store(const fleet::FleetSpec& spec) { return spec.name + ".fleet"; }
 
-/// --workers semantics shared with xp: 0 = hardware concurrency.
-int resolved_workers(int workers) {
-    if (workers > 0) return workers;
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? static_cast<int>(hc) : 1;
-}
-
 int cmd_fleet_info(const std::string& spec_path) {
     const fleet::FleetSpec spec = fleet::load_fleet_spec_file(spec_path);
     const fleet::Population population(spec);
@@ -527,7 +533,7 @@ int cmd_fleet_enroll(const std::string& spec_path, const CliOptions& opts) {
     while (writer.next_device() < spec.devices && !stop.load()) {
         const std::uint64_t before = writer.next_device();
         try {
-            fleet::enroll_population(population, writer, &stop);
+            fleet::enroll_population(population, writer, opts.workers, &stop);
         } catch (const fi::InjectedFault& e) {
             // Store fault: the writer has re-seeked to the record boundary,
             // so retrying overwrites the torn bytes. Give up only when no
@@ -582,7 +588,7 @@ int fleet_run_or_resume(const std::string& spec_path, const CliOptions& opts, bo
     const fleet::EnrollmentMap enrollment(store_path);
     xp::ResultWriter writer(results_path, /*truncate=*/false);
     fleet::FleetCampaignOptions run_opts;
-    run_opts.workers = resolved_workers(opts.workers);
+    run_opts.workers = opts.workers;
     run_opts.max_shards = opts.max_shards;
     if (!fault_plan.empty()) {
         run_opts.injector = &injector;
@@ -617,9 +623,8 @@ int fleet_run_or_resume(const std::string& spec_path, const CliOptions& opts, bo
                     static_cast<unsigned long long>(stats.trials),
                     static_cast<unsigned long long>(stats.bit_errors));
     }
-    if (stats.steals > 0 || stats.store_faults > 0) {
-        std::printf("scheduler: %llu stolen shard(s), %llu store fault(s)\n",
-                    static_cast<unsigned long long>(stats.steals),
+    if (stats.store_faults > 0) {
+        std::printf("fault tolerance: %llu store fault(s)\n",
                     static_cast<unsigned long long>(stats.store_faults));
     }
     if (stats.stopped) std::printf("interrupted: stopped on SIGINT, results flushed\n");
@@ -649,23 +654,26 @@ int cmd_fleet(const std::vector<std::string>& args) {
     if (verb == "enroll") {
         if (args.size() < 3) return usage(stderr);
         CliOptions opts;
-        if (!parse_options(args, 3, opts, /*fleet=*/true)) return 2;
+        if (!parse_options(args, 3, opts, "fleet enroll",
+                           {"-o", "--max-shards", "--max-jobs", "--job-timeout-ms"})) {
+            return 2;
+        }
         return cmd_fleet_enroll(args[2], opts);
     }
     if (verb == "campaign") {
         if (args.size() < 3) return usage(stderr);
         CliOptions opts;
-        if (!parse_options(args, 3, opts, /*fleet=*/true)) return 2;
+        if (!parse_options(args, 3, opts, "fleet campaign",
+                           {"--max-jobs", "--job-timeout-ms", "--max-attempts"})) {
+            return 2;
+        }
         return fleet_run_or_resume(args[2], opts, /*resume=*/false, "");
     }
     if (verb == "resume") {
         if (args.size() < 4) return usage(stderr);
         CliOptions opts;
-        if (!parse_options(args, 4, opts, /*fleet=*/true)) return 2;
-        if (!opts.output.empty()) {
-            std::fprintf(stderr,
-                         "ropuf: fleet resume writes to its positional results file; -o is "
-                         "not accepted\n");
+        if (!parse_options(args, 4, opts, "fleet resume",
+                           {"-o", "--max-jobs", "--job-timeout-ms", "--max-attempts"})) {
             return 2;
         }
         return fleet_run_or_resume(args[2], opts, /*resume=*/true, args[3]);
@@ -693,7 +701,7 @@ int main(int argc, char** argv) {
         if (command == "run") {
             if (args.size() < 2) return usage(stderr);
             CliOptions opts;
-            if (!parse_options(args, 2, opts)) return 2;
+            if (!parse_options(args, 2, opts, "run", {"--store", "--max-shards"})) return 2;
             const xp::SweepSpec spec = xp::load_spec_file(args[1]);
             const std::string out = opts.output.empty() ? default_output(spec) : opts.output;
             return run_or_resume(spec, args[1], opts, /*resume=*/false, out);
@@ -701,11 +709,7 @@ int main(int argc, char** argv) {
         if (command == "resume") {
             if (args.size() < 3) return usage(stderr);
             CliOptions opts;
-            if (!parse_options(args, 3, opts)) return 2;
-            if (!opts.output.empty()) {
-                std::fprintf(stderr,
-                             "ropuf: resume writes to its positional results file; -o is not "
-                             "accepted\n");
+            if (!parse_options(args, 3, opts, "resume", {"-o", "--store", "--max-shards"})) {
                 return 2;
             }
             return run_or_resume(xp::load_spec_file(args[1]), args[1], opts, /*resume=*/true,
