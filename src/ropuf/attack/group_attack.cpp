@@ -151,7 +151,7 @@ GroupBasedAttack::ComparisonInstance GroupBasedAttack::build_comparison(
     return out;
 }
 
-std::optional<bool> GroupBasedAttack::compare_residuals(Victim& victim,
+std::optional<bool> GroupBasedAttack::compare_residuals(core::AnyOracle& oracle,
                                                         const GroupPufHelper& pristine,
                                                         const sim::ArrayGeometry& geometry,
                                                         const ecc::BchCode& code, int a, int b,
@@ -163,12 +163,11 @@ std::optional<bool> GroupBasedAttack::compare_residuals(Victim& victim,
     for (int attempt = 0; attempt < config.max_retries; ++attempt) {
         for (int h = 0; h < 2; ++h) {
             if (comparisons) ++(*comparisons);
-            const auto probe = any_pass_probe(
-                [&] {
-                    return victim.regen_fails(instance.helper[h], instance.expected_key[h]);
-                },
-                config.majority_wins);
-            if (!probe.failed) {
+            const core::Probe probe = make_probe<group::GroupBasedPuf>(
+                instance.helper[h], instance.expected_key[h]);
+            const auto result = any_pass_probe([&] { return oracle.evaluate_one(probe); },
+                                               config.majority_wins);
+            if (!result.failed) {
                 // h = 1 means residual(hi) > residual(lo).
                 const bool hi_greater = h == 1;
                 return (a == hi) == hi_greater;

@@ -90,9 +90,11 @@ public:
                                                const ecc::BchCode& code, int a, int b,
                                                double steep_amp);
 
-    /// Low-level comparator: true iff residual(a) > residual(b); nullopt when
-    /// the oracle stayed inconclusive within the retry budget.
-    static std::optional<bool> compare_residuals(Victim& victim,
+    /// Low-level comparator: true iff residual(a) > residual(b), asked of
+    /// `oracle` with reprogrammed-key probes (make_probe), as GroupSession
+    /// asks; nullopt when the oracle stayed inconclusive within the retry
+    /// budget.
+    static std::optional<bool> compare_residuals(core::AnyOracle& oracle,
                                                  const group::GroupPufHelper& pristine,
                                                  const sim::ArrayGeometry& geometry,
                                                  const ecc::BchCode& code, int a, int b,

@@ -23,13 +23,11 @@
 // Query accounting is shared: every mode counts queries (the attack's primary
 // cost metric) and oscillator measurements (queries x declared device cost).
 //
-// Two query surfaces exist. The typed `regen_fails(Helper)` is the direct
-// white-box path tests and benches use. Attacks go through `make_oracle`,
-// which adapts a Victim into a core::AnyOracle answering *batched* raw-NVM
-// probes — the bytes-on-the-bus threat model — and amortizes measurement
-// noise for a whole batch via sim::RoArray::measure_batch_into. Both paths
-// produce bit-identical verdicts, ledgers and RNG consumption for the same
-// probe sequence.
+// There is one query surface: `make_oracle` adapts a Victim into a
+// core::AnyOracle answering *batched* raw-NVM probes — the bytes-on-the-bus
+// threat model — and amortizes measurement noise for a whole batch via
+// sim::RoArray::measure_batch_into. Attacks, tests and benches all ask it;
+// a typed helper becomes a probe through make_probe (attack/session.hpp).
 #pragma once
 
 #include <cstdint>
@@ -92,27 +90,15 @@ public:
           ambient_(Traits::condition_at(puf, ambient_c)),
           rng_(noise_seed) {}
 
-    /// One key regeneration with the supplied helper data; true = observable
-    /// failure (wrong key or refusal). Fresh measurement noise every call.
-    /// Throws std::logic_error on a victim constructed without an app key
-    /// (reprogram mode must pass the expectation explicitly).
-    bool regen_fails(const Helper& helper) {
-        return regen_fails(helper, app_key());
-    }
-
-    /// Regeneration compared against an attacker-chosen expected key.
-    bool regen_fails(const Helper& helper, const bits::BitVec& expected_key) {
-        ledger_.charge(puf_->array().count());
-        const auto rec = Traits::reconstruct(*puf_, helper, ambient_, rng_);
-        return !rec.ok || rec.key != expected_key;
-    }
-
-    /// Batched raw-NVM probes — the oracle path. Verdicts land in probe
-    /// order. Per probe: parse (a malformed blob is an observable refusal
-    /// that costs a query but no measurement), then regenerate against the
-    /// probe's expected key (or the app key). RNG consumption, verdicts and
-    /// ledger are identical to evaluating the probes one at a time; the
-    /// whole batch's noise is drawn in one measure_batch_into block.
+    /// Batched raw-NVM probes. Verdicts land in probe order; true =
+    /// observable failure (wrong key or refusal). Per probe: parse (a
+    /// malformed blob is an observable refusal that costs a query but no
+    /// measurement), then regenerate with fresh measurement noise against
+    /// the probe's expected key or, when it carries none, the app key
+    /// (std::logic_error on a reprogram-mode victim). RNG consumption,
+    /// verdicts and ledger are identical to evaluating the probes one at a
+    /// time; the whole batch's noise is drawn in one measure_batch_into
+    /// block.
     void evaluate_probes(std::span<const core::Probe> probes, std::vector<bool>& verdicts) {
         verdicts.clear();
         verdicts.reserve(probes.size());

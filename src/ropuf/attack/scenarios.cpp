@@ -429,59 +429,6 @@ void register_builtin_scenarios(core::ScenarioRegistry& registry) {
          [](const ScenarioParams& p) {
              return run_overlap_chain_distiller(p, /*adaptive=*/true);
          }});
-
-    // DEPRECATED aliases. PR 4 registered five hand-written "-defended"
-    // twins (the same experiment with a SanityCheckingOracle interposed);
-    // that axis is now general — any scenario crosses with any registered
-    // countermeasure via ScenarioParams::defense / the sweep-spec `defense`
-    // key. The old names survive as thin aliases that pin defense=sanity so
-    // existing specs, scripts and result files keep their meaning; new work
-    // should sweep `defense = sanity` against the base scenario instead.
-    struct DefendedAlias {
-        const char* name;
-        const char* base;
-        const char* construction;
-        const char* attack;
-        const char* paper_ref;
-    };
-    const DefendedAlias aliases[] = {
-        {"seqpair/swap-defended", "seqpair/swap", "seqpair",
-         "pair-swap + ECC rewrite (defended)", "VI-A/VII"},
-        {"tempaware/substitution-defended", "tempaware/substitution", "tempaware",
-         "assistance substitution (defended)", "VI-B/VII"},
-        {"group/sortmerge-defended", "group/sortmerge", "group",
-         "distiller injection (defended)", "VI-C/VII"},
-        {"maskedchain/distiller-defended", "maskedchain/distiller", "maskedchain",
-         "isolation surfaces (defended)", "VI-D/VII"},
-        {"overlapchain/distiller-defended", "overlapchain/distiller", "overlapchain",
-         "multi-bit hypotheses (defended)", "VI-D/VII"},
-    };
-    for (const auto& alias : aliases) {
-        const std::string base = alias.base;
-        const std::string name = alias.name;
-        // Resolve the base scenario eagerly (it is registered above) and
-        // capture its run function by value: the alias stays valid even if
-        // the registry is copied or outlived — no self-reference.
-        auto base_run = registry.find(base)->run;
-        registry.add_or_replace(
-            {alias.name, alias.construction, alias.attack, alias.paper_ref,
-             "DEPRECATED alias of '" + base +
-                 "' with defense=sanity — use the defense axis instead.",
-             [base_run, base, name](const ScenarioParams& p) {
-                 // The alias IS a pinned defense; crossing it with a
-                 // different token would run sanity while the record claims
-                 // the other defense. Fail loudly instead of mislabeling.
-                 if (!p.defense.empty() && p.defense != "none" && p.defense != "sanity") {
-                     throw std::invalid_argument(
-                         "'" + name + "' pins defense=sanity and cannot run with defense=" +
-                         p.defense + " — sweep '" + base + "' with the defense axis instead");
-                 }
-                 ScenarioParams dp = p;
-                 dp.defense = "sanity";
-                 return base_run(dp);
-             },
-             /*allowed_defenses=*/{"none", "sanity"}});
-    }
 }
 
 core::ScenarioRegistry& default_registry() {

@@ -93,8 +93,7 @@ struct Scenario {
     std::function<AttackReport(const ScenarioParams&)> run;
     /// Defense token *names* this scenario can honor: empty = any
     /// registered defense. Scenarios that bypass the oracle stack
-    /// ({"none"}) or pin a defense ({"none", "sanity"} for the deprecated
-    /// -defended aliases) declare it here so the xp planner can reject an
+    /// ({"none"}) declare it here so the xp planner can reject an
     /// incompatible (scenario, defense) grid point at plan time instead of
     /// aborting — and permanently wedging resume of — a half-finished
     /// sweep; `run` still throws as the backstop.

@@ -45,6 +45,7 @@ CampaignSummary CampaignRunner::run(std::string_view scenario_name,
 
     const auto t0 = std::chrono::steady_clock::now();
     pool.run([&](std::size_t t, int) {
+        if (std::chrono::steady_clock::now() >= config.deadline) throw DeadlineExceeded();
         try {
             if (config.injector != nullptr) {
                 config.injector->trial_probe(config.fi_job_index, static_cast<int>(t),
@@ -52,12 +53,7 @@ CampaignSummary CampaignRunner::run(std::string_view scenario_name,
             }
         } catch (const fi::InjectedFault& e) {
             // Surface fi-injected trial faults on the worker's track.
-            if (obs::TraceSink* sink = obs::trace()) {
-                std::string args = "{\"what\":\"";
-                obs::append_trace_escaped(args, e.what());
-                args += "\"}";
-                sink->instant("fi:injected_fault", std::move(args));
-            }
+            obs::fault_instant("fi:injected_fault", e.what());
             throw;
         }
         ScenarioParams params = config.base;

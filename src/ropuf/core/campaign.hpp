@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "ropuf/core/attack_engine.hpp"
+#include "ropuf/core/errors.hpp"
 
 namespace ropuf::fi {
 class Injector;
@@ -55,6 +56,11 @@ struct CampaignConfig {
     const fi::Injector* injector = nullptr;
     int fi_job_index = 0; ///< plan job index for injector decisions
     int fi_attempt = 1;   ///< executor attempt number (1-based)
+
+    /// Checked before each trial: once it has passed, the trial throws
+    /// DeadlineExceeded, the pool claims no further trials, and run()
+    /// rethrows it when the trials in flight finish.
+    Deadline deadline = kNoDeadline;
 };
 
 /// Order-stable aggregate of one per-trial metric.
@@ -114,9 +120,9 @@ public:
     static std::uint64_t job_seed(std::uint64_t root, int index);
 
     /// Runs `trials` independent instances of one scenario; throws
-    /// std::out_of_range for unknown names. A throwing trial stops the pool
-    /// claiming further trials; the first exception is rethrown once the
-    /// trials in flight finish.
+    /// std::out_of_range for unknown names. A throwing trial (or a passed
+    /// deadline) stops the pool claiming further trials; the first
+    /// exception is rethrown once the trials in flight finish.
     CampaignSummary run(std::string_view scenario_name,
                         const CampaignConfig& config = {}) const;
 

@@ -26,7 +26,6 @@ bool WorkPool::run(const std::function<void(std::size_t index, int worker)>& bod
     std::exception_ptr first_error; // guarded by error_mutex
 
     const auto worker_loop = [&](int worker) {
-        if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("worker");
         while (!failed.load(std::memory_order_relaxed)) {
             if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) return;
             const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
@@ -47,7 +46,12 @@ bool WorkPool::run(const std::function<void(std::size_t index, int worker)>& bod
         std::vector<std::thread> threads;
         threads.reserve(static_cast<std::size_t>(workers_));
         try {
-            for (int w = 0; w < workers_; ++w) threads.emplace_back(worker_loop, w);
+            for (int w = 0; w < workers_; ++w) {
+                threads.emplace_back([&worker_loop, w] {
+                    if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("worker");
+                    worker_loop(w);
+                });
+            }
         } catch (...) {
             // Thread creation failed: wind down the workers already started.
             failed.store(true, std::memory_order_relaxed);

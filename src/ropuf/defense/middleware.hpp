@@ -50,8 +50,8 @@ public:
 
 /// Structural helper-data validation (the paper's own Section VII
 /// countermeasure) as a DefenseOracle: a thin adapter over
-/// core::SanityCheckingOracle so the defended verdict stream stays bitwise
-/// identical to the PR-4 `-defended` scenarios.
+/// core::SanityCheckingOracle, so `defense=sanity` gives the same verdict
+/// stream as wrapping the victim's oracle in that checker directly.
 class SanityDefenseOracle final : public DefenseOracle {
 public:
     SanityDefenseOracle(core::AnyOracle inner, core::HelperValidator validator)

@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <thread>
 
 #include "ropuf/core/attack_engine.hpp" // append_json_escaped
 #include "ropuf/core/errors.hpp"
 #include "ropuf/core/pool.hpp"
-#include "ropuf/fi/injector.hpp"
 #include "ropuf/fleet/enroll.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/trace.hpp"
@@ -267,38 +267,31 @@ FleetRunStats run_fleet_campaign(const Population& population,
         const std::uint64_t shard = pending[i];
         const auto t0 = std::chrono::steady_clock::now();
         ShardOutcome o;
-        try {
-            if (options.injector != nullptr) {
-                const int hang_ms =
-                    options.injector->job_fault(static_cast<int>(shard), 1);
-                if (hang_ms > 0) {
-                    ROPUF_OBS_COUNT("fi.injected.job_hang", 1);
-                    std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
+        const std::optional<core::JobError> error = core::run_attempt(
+            options.injector, static_cast<int>(shard), /*attempt=*/1, /*timeout_ms=*/0.0,
+            [&](core::Deadline) {
+                std::string shard_args;
+                if (obs::trace() != nullptr) {
+                    shard_args = "{\"shard\":" + std::to_string(shard) + "}";
                 }
-            }
-            if (obs::TraceSink* sink = obs::trace()) {
-                sink->begin("fleet.shard", "{\"shard\":" + std::to_string(shard) + "}");
-            }
-            o = run_shard(population, enrollment, shard,
-                          scratch[static_cast<std::size_t>(w)]);
-            if (obs::TraceSink* sink = obs::trace()) sink->end();
+                const obs::Span shard_span("fleet.shard", std::move(shard_args));
+                o = run_shard(population, enrollment, shard,
+                              scratch[static_cast<std::size_t>(w)]);
+            });
+        if (!error) {
             ROPUF_OBS_COUNT("xp.jobs_done", 1);
             ROPUF_OBS_COUNT("fleet.shards_done", 1);
             ROPUF_OBS_COUNT("fleet.devices_done", o.device_count);
             ROPUF_OBS_COUNT("campaign.trials",
                             static_cast<double>(o.device_count) * spec.trials);
-        } catch (const std::exception& e) {
-            if (obs::TraceSink* sink = obs::trace()) sink->end();
+        } else {
             o.shard = shard;
             o.device_first = shard * kShardDevices;
             o.device_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
                 kShardDevices, spec.devices - o.device_first));
             o.failed = true;
-            o.error = {dynamic_cast<const fi::InjectedFault*>(&e) != nullptr
-                           ? core::JobErrorClass::injected_fault
-                           : core::JobErrorClass::scenario_exception,
-                       e.what()};
-            ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
+            o.error = *error;
+            core::note_quarantined(o.error);
         }
         o.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)

@@ -22,10 +22,12 @@
 // The {1, 2, 8}-worker and hang-skew pins in tests/test_fleet.cpp hold
 // the property.
 //
-// Fault tolerance mirrors xp: the fi job seams fire per shard (job_hang /
-// job_throw keyed on shard index), a faulted shard writes a quarantine
-// record (`outcome:"job_failed"`) and resume retries it; SIGINT stops
-// dispatch between shards and the run remains resumable.
+// Fault tolerance mirrors xp: each shard runs as one core::run_attempt
+// keyed on its shard index (the same fi job seam, failure classes, fault
+// counters and trace instants as an xp job; one attempt, no deadline). A
+// faulted shard writes a quarantine record (`outcome:"job_failed"`) and
+// resume retries it; SIGINT stops dispatch between shards and the run
+// remains resumable.
 #pragma once
 
 #include <atomic>

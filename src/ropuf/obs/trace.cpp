@@ -35,6 +35,21 @@ void append_trace_escaped(std::string& out, std::string_view text) {
     }
 }
 
+void fault_instant(std::string_view name, std::string_view what, std::string_view cls) {
+    TraceSink* sink = trace();
+    if (sink == nullptr) return;
+    std::string args = "{";
+    if (!cls.empty()) {
+        args += "\"class\":\"";
+        append_trace_escaped(args, cls);
+        args += "\",";
+    }
+    args += "\"what\":\"";
+    append_trace_escaped(args, what);
+    args += "\"}";
+    sink->instant(name, std::move(args));
+}
+
 namespace {
 
 // Live sinks by unique epoch, mirroring the metrics registry's shard

@@ -4,7 +4,7 @@
 // Perfetto- / chrome://tracing-loadable JSON object on close(). Tracks map
 // to threads: each thread that emits gets a tid from a freelist (recycled
 // on thread exit), so a campaign shows one track per *concurrent* worker,
-// not one per short-lived attempt thread ever spawned.
+// not one per short-lived pool thread ever spawned.
 //
 // Same zero-overhead contract as the metrics registry: no sink installed
 // means every site is one relaxed pointer load and a branch (the Span RAII
@@ -46,6 +46,13 @@ void install_trace(TraceSink* sink) noexcept;
 /// quotes). Exposed so call sites can build small `args` objects without
 /// pulling in a JSON library.
 void append_trace_escaped(std::string& out, std::string_view text);
+
+/// Emits the instant `name` on the calling thread's track with args
+/// {"what": what}, or {"class": cls, "what": what} when `cls` is non-empty.
+/// No-op when tracing is off. Every fault instant (injected faults,
+/// watchdog timeouts, store errors, quarantines) is spelled through here.
+void fault_instant(std::string_view name, std::string_view what,
+                   std::string_view cls = {});
 
 class TraceSink {
 public:

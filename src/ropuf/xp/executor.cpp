@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
-#include <vector>
 
 #include "ropuf/core/campaign.hpp"
 #include "ropuf/fi/injector.hpp"
@@ -35,82 +32,6 @@ bool stop_requested(const RunOptions& options) {
     return options.stop != nullptr && options.stop->load(std::memory_order_relaxed);
 }
 
-struct AttemptResult {
-    bool ok = false;
-    core::CampaignSummary summary;
-    core::JobError error;
-};
-
-/// Runs one attempt of one job on its own thread so the watchdog can
-/// abandon it. A timed-out thread is parked in `zombies` (joined before
-/// execute_plan returns — the injected job_hang is finite, and a genuinely
-/// wedged job then blocks exit instead of corrupting state); its late
-/// result lands in shared state nobody reads.
-AttemptResult run_attempt(const core::CampaignRunner& runner, const Job& job,
-                          const core::CampaignConfig& config, const RunOptions& options,
-                          std::vector<std::thread>& zombies) {
-    struct Shared {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool done = false;
-        AttemptResult result;
-    };
-    auto shared = std::make_shared<Shared>();
-    fi::Injector* injector = options.injector;
-    const int job_index = job.index;
-    const int attempt = config.fi_attempt;
-    const std::string scenario = job.scenario;
-
-    std::thread worker([shared, &runner, scenario, config, injector, job_index, attempt] {
-        AttemptResult result;
-        try {
-            if (injector != nullptr) {
-                // The per-job seam: job_throw fires here; job_hang sleeps
-                // here, squarely under the watchdog.
-                const int hang_ms = injector->job_fault(job_index, attempt);
-                if (hang_ms > 0) {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
-                }
-            }
-            result.summary = runner.run(scenario, config);
-            result.ok = true;
-        } catch (const fi::InjectedFault& e) {
-            result.error = {core::JobErrorClass::injected_fault, e.what()};
-        } catch (const std::exception& e) {
-            result.error = {core::JobErrorClass::scenario_exception, e.what()};
-        } catch (...) {
-            result.error = {core::JobErrorClass::unknown,
-                            "non-standard exception escaped the job"};
-        }
-        const std::lock_guard<std::mutex> lock(shared->mutex);
-        shared->result = std::move(result);
-        shared->done = true;
-        shared->cv.notify_all();
-    });
-
-    if (options.job_timeout_ms <= 0.0) {
-        worker.join();
-        return std::move(shared->result);
-    }
-    std::unique_lock<std::mutex> lock(shared->mutex);
-    const bool done =
-        shared->cv.wait_for(lock,
-                            std::chrono::duration<double, std::milli>(options.job_timeout_ms),
-                            [&] { return shared->done; });
-    if (done) {
-        lock.unlock();
-        worker.join();
-        return std::move(shared->result);
-    }
-    lock.unlock();
-    zombies.push_back(std::move(worker));
-    AttemptResult timed_out;
-    timed_out.error = {core::JobErrorClass::timeout,
-                       "attempt " + std::to_string(attempt) + " exceeded the " +
-                           std::to_string(options.job_timeout_ms) + " ms watchdog"};
-    return timed_out;
-}
-
 /// Appends with the same bounded-retry policy as job execution. The writer
 /// newline-terminates any torn tail between attempts, so a retried record
 /// never merges into the failed fragment. A store that keeps failing after
@@ -123,15 +44,10 @@ void append_with_retry(ResultWriter& writer, const JobRecord& record,
             writer.append(record);
             return;
         } catch (const std::exception& e) {
-            if (obs::TraceSink* sink = obs::trace()) {
-                std::string args = "{\"what\":\"";
-                obs::append_trace_escaped(args, e.what());
-                args += "\"}";
-                sink->instant(dynamic_cast<const fi::InjectedFault*>(&e) != nullptr
-                                  ? "fi:store_fault"
-                                  : "store_error",
-                              std::move(args));
-            }
+            obs::fault_instant(dynamic_cast<const fi::InjectedFault*>(&e) != nullptr
+                                   ? "fi:store_fault"
+                                   : "store_error",
+                               e.what());
             if (attempt >= max_attempts) throw;
             ++stats.store_retries;
             ROPUF_OBS_COUNT("xp.store_append_retries", 1);
@@ -173,18 +89,6 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                  1.0);
     }
     if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("executor");
-
-    // Timed-out attempt threads; joined (reverse declaration order) before
-    // `runner` dies, so a late-finishing attempt never touches a dead runner.
-    std::vector<std::thread> zombies;
-    struct Reaper {
-        std::vector<std::thread>& threads;
-        ~Reaper() {
-            for (std::thread& t : threads) {
-                if (t.joinable()) t.join();
-            }
-        }
-    } reaper{zombies};
 
     for (const Job& job : plan.jobs) {
         if (skip.count(job.id) != 0) {
@@ -231,38 +135,25 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         for (int attempt = 1; attempt <= max_attempts; ++attempt) {
             attempts_used = attempt;
             config.fi_attempt = attempt;
-            AttemptResult result;
+            std::optional<core::JobError> error;
             {
                 std::string attempt_args;
                 if (obs::trace() != nullptr) {
                     attempt_args = "{\"attempt\":" + std::to_string(attempt) + "}";
                 }
                 const obs::Span attempt_span("attempt", std::move(attempt_args));
-                result = run_attempt(runner, job, config, options, zombies);
+                error = core::run_attempt(options.injector, job.index, attempt,
+                                          options.job_timeout_ms,
+                                          [&](core::Deadline deadline) {
+                                              config.deadline = deadline;
+                                              summary = runner.run(job.scenario, config);
+                                          });
             }
-            if (result.ok) {
-                summary = std::move(result.summary);
+            if (!error) {
                 ok = true;
                 break;
             }
-            last_error = std::move(result.error);
-            if (last_error.cls == core::JobErrorClass::timeout) {
-                ROPUF_OBS_COUNT("xp.watchdog_timeouts", 1);
-                if (obs::TraceSink* sink = obs::trace()) {
-                    std::string args = "{\"what\":\"";
-                    obs::append_trace_escaped(args, last_error.message);
-                    args += "\"}";
-                    sink->instant("watchdog_timeout", std::move(args));
-                }
-            } else if (last_error.cls == core::JobErrorClass::injected_fault) {
-                ROPUF_OBS_COUNT("fi.injected_faults", 1);
-                if (obs::TraceSink* sink = obs::trace()) {
-                    std::string args = "{\"what\":\"";
-                    obs::append_trace_escaped(args, last_error.message);
-                    args += "\"}";
-                    sink->instant("fi:injected_fault", std::move(args));
-                }
-            }
+            last_error = std::move(*error);
             if (attempt < max_attempts) {
                 ++stats.retries;
                 ROPUF_OBS_COUNT("xp.retries", 1);
@@ -306,16 +197,7 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
             ROPUF_OBS_OBSERVE("xp.job_wall_ms", summary.wall_ms);
         } else {
             ++stats.failed;
-            ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
-            if (obs::TraceSink* sink = obs::trace()) {
-                std::string args = "{\"class\":\"";
-                obs::append_trace_escaped(
-                    args, core::job_error_class_name(last_error.cls));
-                args += "\",\"what\":\"";
-                obs::append_trace_escaped(args, last_error.message);
-                args += "\"}";
-                sink->instant("quarantined", std::move(args));
-            }
+            core::note_quarantined(last_error);
         }
 
         if (options.progress != nullptr) {

@@ -9,13 +9,15 @@
 // uninterrupted run.
 //
 // Fault tolerance: the executor survives, rather than propagates, per-job
-// failure. Each job gets up to max_attempts attempts; a thrown exception is
-// captured and classified (core::JobError), an attempt that outlives the
-// per-job watchdog timeout is abandoned, and retries back off with a
-// deterministic exponential schedule. A job whose every attempt failed is
-// quarantined as an `outcome=job_failed` record — the run completes with
-// partial results, and `resume` retries exactly the quarantined/missing
-// jobs. Store appends get the same retry treatment (the writer terminates
+// failure. Each job gets up to max_attempts attempts, each run inline on
+// the executor thread through core::run_attempt, which captures and
+// classifies what it throws (core::JobError). job_timeout_ms gives every
+// attempt a deadline the campaign checks before each trial: a late attempt
+// stops at the next trial boundary and fails as a timeout. Retries back
+// off with a deterministic exponential schedule. A job whose every attempt
+// failed is quarantined as an `outcome=job_failed` record — the run
+// completes with partial results, and `resume` retries exactly the
+// quarantined/missing jobs. Store appends get the same retry treatment (the writer terminates
 // torn tails between attempts). A cooperative stop flag (SIGINT) and the
 // injected worker_abort fault both halt dispatch between jobs, leaving a
 // file a resume completes to bit-identical records.
@@ -44,7 +46,8 @@ struct RunOptions {
     // Fault tolerance.
     int max_attempts = 3;          ///< per-job attempts before quarantine (>= 1)
     double backoff_base_ms = 5.0;  ///< retry i sleeps base * 2^(i-1) ms (capped at 1 s)
-    double job_timeout_ms = 0.0;   ///< per-attempt watchdog; 0 = no timeout
+    double job_timeout_ms = 0.0;   ///< per-attempt deadline, checked between
+                                   ///< trials; 0 = no timeout
     fi::Injector* injector = nullptr;        ///< fault-injection seams (nullptr = none)
     const std::atomic<bool>* stop = nullptr; ///< cooperative stop (SIGINT); checked
                                              ///< between jobs and between retries

@@ -4,6 +4,7 @@
 #include "ropuf/attack/calibration.hpp"
 #include "ropuf/attack/distinguisher.hpp"
 #include "ropuf/attack/oracle.hpp"
+#include "ropuf/attack/session.hpp"
 #include "ropuf/pairing/puf_pipeline.hpp"
 
 namespace {
@@ -142,11 +143,13 @@ TEST(Oracle, KeyedModeCountsQueriesAndComparesKeys) {
     Xoshiro256pp rng(272);
     const auto enrollment = puf.enroll(rng);
     Victim<ropuf::pairing::SeqPairingPuf> victim(puf, enrollment.key, 273);
-    EXPECT_FALSE(victim.regen_fails(enrollment.helper));
+    auto oracle = make_oracle(victim);
+    using Puf = ropuf::pairing::SeqPairingPuf;
+    EXPECT_FALSE(oracle.evaluate_one(make_probe<Puf>(enrollment.helper)));
     auto tampered = enrollment.helper;
     std::swap(tampered.pairs[0], tampered.pairs[1]); // may or may not fail...
     tampered.ecc.parity = bits::complement(tampered.ecc.parity); // ...this must
-    EXPECT_TRUE(victim.regen_fails(tampered));
+    EXPECT_TRUE(oracle.evaluate_one(make_probe<Puf>(tampered)));
     EXPECT_EQ(victim.queries(), 2);
     // Shared accounting: measurements follow the declared per-query cost.
     EXPECT_EQ(victim.measurements(), 2 * arr.count());
@@ -158,8 +161,11 @@ TEST(Oracle, ReprogramModeComparesAttackerKey) {
     Xoshiro256pp rng(275);
     const auto enrollment = puf.enroll(rng);
     Victim<ropuf::pairing::SeqPairingPuf> victim(puf, 276);
-    EXPECT_FALSE(victim.regen_fails(enrollment.helper, enrollment.key));
-    EXPECT_TRUE(victim.regen_fails(enrollment.helper, bits::complement(enrollment.key)));
+    auto oracle = make_oracle(victim);
+    using Puf = ropuf::pairing::SeqPairingPuf;
+    EXPECT_FALSE(oracle.evaluate_one(make_probe<Puf>(enrollment.helper, enrollment.key)));
+    EXPECT_TRUE(oracle.evaluate_one(
+        make_probe<Puf>(enrollment.helper, bits::complement(enrollment.key))));
 }
 
 } // namespace

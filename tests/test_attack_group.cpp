@@ -62,6 +62,7 @@ TEST(GroupAttack, ComparatorMatchesEnrollmentResiduals) {
     Scenario s(502);
     const auto& geom = s.array.geometry();
     GroupBasedAttack::Victim victim(s.puf, 503);
+    auto oracle = make_oracle(victim);
     GroupBasedAttack::Config cfg;
 
     // Ground truth: noiseless residuals under the enrolled surface.
@@ -78,7 +79,7 @@ TEST(GroupAttack, ComparatorMatchesEnrollmentResiduals) {
         const int b = grp[1];
         int comparisons = 0;
         const auto result = GroupBasedAttack::compare_residuals(
-            victim, s.enrollment.helper, geom, s.puf.code(), a, b, cfg, &comparisons);
+            oracle, s.enrollment.helper, geom, s.puf.code(), a, b, cfg, &comparisons);
         ASSERT_TRUE(result.has_value());
         EXPECT_EQ(*result,
                   resid[static_cast<std::size_t>(a)] > resid[static_cast<std::size_t>(b)])

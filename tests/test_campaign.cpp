@@ -236,6 +236,45 @@ TEST(Campaign, ZeroTrialsYieldEmptyButFiniteSummary) {
     EXPECT_DOUBLE_EQ(summary.queries.p95, 0.0);
 }
 
+// The attempt deadline is checked before every trial: once it has passed,
+// no further trial runs, and the attempt seam classifies the cut as a
+// timeout instead of letting a late attempt run on.
+TEST(Campaign, PassedDeadlineStopsTrialClaimsAndSurfacesAsTimeout) {
+    std::atomic<int> trials_run{0};
+    ropuf::core::ScenarioRegistry registry;
+    registry.add({"count/trials", "seqpair", "test", "none", "counts its trials",
+                  [&](const ScenarioParams&) {
+                      trials_run.fetch_add(1);
+                      return AttackReport{};
+                  }});
+    const CampaignRunner runner(registry);
+    CampaignConfig config;
+    config.trials = 8;
+    config.workers = 2;
+    config.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    EXPECT_THROW((void)runner.run("count/trials", config), ropuf::core::DeadlineExceeded);
+    EXPECT_EQ(trials_run.load(), 0);
+
+    // The same cut through the attempt seam: the body outlives a 1 ms
+    // deadline before its campaign starts, so the campaign claims nothing.
+    const auto error = ropuf::core::run_attempt(
+        nullptr, /*job_index=*/0, /*attempt=*/2, /*timeout_ms=*/1.0,
+        [&](ropuf::core::Deadline deadline) {
+            std::this_thread::sleep_until(deadline + std::chrono::milliseconds(1));
+            config.deadline = deadline;
+            (void)runner.run("count/trials", config);
+        });
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->cls, ropuf::core::JobErrorClass::timeout);
+    EXPECT_EQ(error->message, "attempt 2 exceeded the 1.000000 ms watchdog");
+    EXPECT_EQ(trials_run.load(), 0);
+
+    // A deadline in the future changes nothing.
+    config.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+    EXPECT_EQ(runner.run("count/trials", config).trials, 8);
+    EXPECT_EQ(trials_run.load(), 8);
+}
+
 TEST(SummarizeMetric, KnownValues) {
     const std::vector<double> values = {4.0, 1.0, 3.0, 2.0};
     const MetricSummary m = summarize_metric(values);

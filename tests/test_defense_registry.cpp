@@ -238,34 +238,31 @@ TEST(DefenseScenarios, OutcomeClassificationCoversTheMatrixColumns) {
 }
 
 TEST(DefenseScenarios, MislabeledDefenseCombinationsFailLoudly) {
-    // A '-defended' alias pins defense=sanity; crossing it with a different
-    // token must throw, never run sanity while the record claims the other
-    // defense. Same for fuzzy/reference, which bypasses the oracle stack
-    // entirely and therefore cannot honor any defense token.
+    // fuzzy/reference bypasses the oracle stack entirely and therefore
+    // cannot honor any defense token: crossing it with one must throw,
+    // never run undefended while the record claims the defense.
     core::AttackEngine engine(attack::default_registry());
     core::ScenarioParams params;
     params.defense = "mac";
-    EXPECT_THROW((void)engine.run("seqpair/swap-defended", params), std::invalid_argument);
     EXPECT_THROW((void)engine.run("fuzzy/reference", params), std::invalid_argument);
-    // The compatible spellings still run.
-    params.defense = "sanity";
-    EXPECT_NO_THROW((void)engine.run("seqpair/swap-defended", params));
+    // The compatible spelling still runs.
     params.defense = "none";
     EXPECT_NO_THROW((void)engine.run("fuzzy/reference", params));
 }
 
-TEST(DefenseScenarios, DeprecatedDefendedAliasEqualsDefenseSanityAxis) {
+TEST(DefenseScenarios, SanityAxisRefusesDistillerSurfacesAtSeedFive) {
+    // The pin the retired maskedchain/distiller-defended alias carried,
+    // spelled as the defense axis: every probe dies at the check.
     core::AttackEngine engine(attack::default_registry());
     core::ScenarioParams params;
     params.seed = 5;
-    const auto alias = engine.run("maskedchain/distiller-defended", params);
     params.defense = "sanity";
     const auto axis = engine.run("maskedchain/distiller", params);
-    EXPECT_EQ(alias.outcome, axis.outcome);
-    EXPECT_EQ(alias.queries, axis.queries);
-    EXPECT_EQ(alias.refused, axis.refused);
-    EXPECT_EQ(alias.measurements, axis.measurements);
-    EXPECT_EQ(alias.accuracy, axis.accuracy);
+    EXPECT_EQ(axis.outcome, core::AttackOutcome::refused_by_defense);
+    EXPECT_EQ(axis.queries, 256);
+    EXPECT_EQ(axis.refused, 256);
+    EXPECT_EQ(axis.measurements, 0);
+    EXPECT_EQ(axis.accuracy, 0.75);
 }
 
 TEST(DefenseScenarios, DefenseNoneIsBitwiseTheUndefendedRun) {

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "ropuf/core/sanitizer.hpp"
 #include "ropuf/fi/fault_plan.hpp"
 #include "ropuf/fi/injector.hpp"
+#include "ropuf/obs/metrics.hpp"
 #include "ropuf/xp/executor.hpp"
 #include "ropuf/xp/planner.hpp"
 #include "ropuf/xp/result_store.hpp"
@@ -325,16 +327,59 @@ TEST(Chaos, WatchdogTimesOutHungAttemptThenRetrySucceeds) {
     char hang_plan[64];
     std::snprintf(hang_plan, sizeof hang_plan, "job_hang(ids=1,ms=%d,times=1)",
                   static_cast<int>(400 * kTimeScale));
+    const auto t0 = std::chrono::steady_clock::now();
     const xp::RunStats stats = run_with_faults(plan, chaos, hang_plan,
                                                /*resume=*/false,
                                                /*job_timeout_ms=*/60.0 * kTimeScale);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
     EXPECT_TRUE(stats.complete());
     EXPECT_EQ(stats.retries, 1);
     EXPECT_EQ(ok_content(chaos), ok_content(clean));
     for (const xp::JobRecord& r : xp::read_results(chaos)) {
         EXPECT_EQ(r.attempts, r.index == 1 ? 2 : 1);
     }
+    // The hang is cut at the deadline, not waited out: the whole run
+    // returns before the injected sleep would have ended.
+    const std::chrono::duration<double, std::milli> hang_ms(400 * kTimeScale);
+    EXPECT_LT(elapsed, hang_ms);
     std::remove(clean.c_str());
+    std::remove(chaos.c_str());
+}
+
+TEST(Chaos, DeadlineCutAttemptCountsNoTrialsIntoAnyRecord) {
+    // The hang outlasts the deadline by less than one eight-trial job, so
+    // an attempt that kept running after its timeout would wake while a
+    // later attempt runs and count its trials and queries into whichever
+    // record was open.
+    const xp::Plan plan = xp::plan_spec(
+        xp::parse_spec("name = chaos_obs\n"
+                       "scenarios = seqpair/swap, fuzzy/reference\n"
+                       "sigma_noise_mhz = 0.02, 0.05\n"
+                       "trials = 8\n"
+                       "master_seed = 3\n"),
+        attack::default_registry());
+    const std::string chaos = temp_path("chaos_obs_hang");
+    obs::Registry registry;
+    obs::install(&registry);
+    // Attempt 1 of job 0 hangs past its deadline. The hang fires before the
+    // campaign starts, so the cut attempt runs no trials.
+    char hang_plan[64];
+    std::snprintf(hang_plan, sizeof hang_plan, "job_hang(ids=0,ms=%d,times=1)",
+                  static_cast<int>(75 * kTimeScale));
+    const xp::RunStats stats = run_with_faults(plan, chaos, hang_plan, /*resume=*/false,
+                                               /*job_timeout_ms=*/60.0 * kTimeScale);
+    obs::install(nullptr);
+    EXPECT_TRUE(stats.complete());
+    EXPECT_EQ(stats.retries, 1);
+    const std::vector<xp::JobRecord> records = xp::read_results(chaos);
+    ASSERT_EQ(records.size(), plan.jobs.size());
+    for (const xp::JobRecord& r : records) {
+        ASSERT_TRUE(r.obs.present) << r.job_id;
+        const auto trials = r.obs.counters.find("campaign.trials");
+        ASSERT_NE(trials, r.obs.counters.end()) << r.job_id;
+        EXPECT_EQ(trials->second, static_cast<double>(r.trials)) << r.job_id;
+    }
+    EXPECT_EQ(records[0].obs.counters.at("xp.watchdog_timeouts"), 1.0);
     std::remove(chaos.c_str());
 }
 

@@ -496,6 +496,27 @@ TEST_F(FleetCampaignTest, PublishesSchedulerAndPopulationCounters) {
     EXPECT_EQ(stats.executed, 3u);
 }
 
+TEST_F(FleetCampaignTest, ShardFaultsPublishTheXpFaultCounters) {
+    // A shard attempt runs through the same seam as an xp job attempt, so
+    // the same event counts under the same names: one injected throw is one
+    // fi.injected_faults and one xp.jobs_quarantined; a hang with no
+    // deadline only delays its shard.
+    obs::Registry reg;
+    obs::install(&reg);
+    fi::Injector injector(fi::parse_fault_plan("seed(1);job_throw(ids=1);job_hang(ids=2,ms=5)"));
+    const std::string path = results_path("faultobs");
+    const auto stats = run_campaign(*population_, store_path_, path, 2,
+                                    /*max_shards=*/-1, &injector);
+    obs::install(nullptr);
+    const obs::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.executed, 2u);
+    EXPECT_EQ(snap.counter_or("fi.injected_faults", 0.0), 1.0);
+    EXPECT_EQ(snap.counter_or("xp.jobs_quarantined", 0.0), 1.0);
+    EXPECT_EQ(snap.counter_or("xp.jobs_done", 0.0), 2.0);
+    EXPECT_EQ(snap.counter_or("xp.watchdog_timeouts", 0.0), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Population stats
 // ---------------------------------------------------------------------------

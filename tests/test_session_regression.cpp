@@ -1,7 +1,7 @@
 // Session regression: the propose/observe rewrite must be *bitwise
 // identical* to the pre-Session one-shot attacks. The expected values below
-// were captured from the seed implementation (monolithic Attack::run driving
-// Victim::regen_fails directly) at default params for master seeds 1, 2 and
+// were captured from the seed implementation (monolithic Attack::run querying
+// the victim's typed helper path directly) at default params for seeds 1, 2 and
 // 7 — including one seed where the overlap-chain attack legitimately fails
 // to resolve every bit. Any drift in probe order, RNG consumption, helper
 // serialization or verdict handling shows up here as a query/accuracy diff.
@@ -142,7 +142,9 @@ TEST(SessionRegression, BudgetExhaustedRunsReportPartialAccuracy) {
 
 TEST(SessionRegression, DefendedDistillerScenarioIsRefusedWithoutMeasuring) {
     core::AttackEngine engine(attack::default_registry());
-    const auto report = engine.run("maskedchain/distiller-defended");
+    core::ScenarioParams params;
+    params.defense = "sanity";
+    const auto report = engine.run("maskedchain/distiller", params);
     EXPECT_EQ(report.outcome, core::AttackOutcome::refused_by_defense);
     EXPECT_FALSE(report.key_recovered);
     EXPECT_GT(report.refused, 0);
@@ -150,7 +152,7 @@ TEST(SessionRegression, DefendedDistillerScenarioIsRefusedWithoutMeasuring) {
     EXPECT_EQ(report.measurements, 0);         // and none reached the silicon
 
     // The structurally-valid pair swap clears the same defense.
-    const auto swap = engine.run("seqpair/swap-defended");
+    const auto swap = engine.run("seqpair/swap", params);
     EXPECT_EQ(swap.outcome, core::AttackOutcome::recovered);
     EXPECT_EQ(swap.refused, 0);
     EXPECT_EQ(swap.queries, 156); // identical cost to the undefended run

@@ -187,13 +187,6 @@ TEST(SweepSpec, DefenseAxisParsesNormalizesAndExpands) {
     EXPECT_THROW(
         plan_spec(parse_spec("name=d\nscenarios=fuzzy/reference\ndefense=mac\n"), registry),
         SpecError);
-    EXPECT_THROW(
-        plan_spec(parse_spec("name=d\nscenarios=seqpair/swap-defended\ndefense=mac\n"),
-                  registry),
-        SpecError);
-    EXPECT_NO_THROW(plan_spec(
-        parse_spec("name=d\nscenarios=seqpair/swap-defended\ndefense=none,sanity\n"),
-        registry));
     EXPECT_NO_THROW(
         plan_spec(parse_spec("name=d\nscenarios=fuzzy/reference\ndefense=none\n"), registry));
 }
@@ -320,8 +313,7 @@ TEST(Planner, ResolvesConstructionsAndRejectsUnknownNames) {
     EXPECT_NE(std::find(names.begin(), names.end(), "group/sortmerge"), names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "group/exhaustive"), names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "group/sortmerge-adaptive"), names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "group/sortmerge-defended"), names.end());
-    EXPECT_EQ(names.size(), 4u);
+    EXPECT_EQ(names.size(), 3u);
 
     EXPECT_THROW(
         plan_spec(parse_spec("name=u\nscenarios=no/such\n"), registry), SpecError);
@@ -373,7 +365,7 @@ TEST(Specs, CommittedSpecFilesParseAndPlan) {
         {"fig1_array_size.spec", 4},
         {"fig5_failure_pdf.spec", 12},
         {"fig7_fuzzy.spec", 6},
-        {"fig_budget_curve.spec", 40},
+        {"fig_budget_curve.spec", 48},
         {"fig_matrix.spec", 56},
         {"paper_all.spec", registry.size()},
         {"smoke.spec", 4},

@@ -4,8 +4,8 @@
 // work pool feeding the in-order committer under a stop flag, cross-thread
 // obs registry snapshots racing owner-thread slot updates, trace emission
 // from many tracks racing close(), the progress heartbeat, the executor's
-// watchdog + zombie parking + reaper with a late-finishing abandoned
-// attempt, and the SIGINT-style cooperative stop flag.
+// deadline-cut attempts and a campaign stopped at a trial boundary, and the
+// SIGINT-style cooperative stop flag.
 //
 // The assertions are intentionally light: on a plain build this is a smoke
 // test of orderly teardown; under TSan the pass/fail signal is the
@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -206,11 +207,12 @@ TEST(TsanStress, ShardAndTidRecyclingUnderThreadChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor watchdog + zombie parking + reaper, with obs/trace live: the
-// injected hang trips the watchdog, the retry attempt runs CONCURRENTLY
-// with the abandoned zombie (both full campaigns over the same shared
-// runner/registry/sink), and the reaper joins the stragglers before
-// execute_plan returns.
+// Executor deadline cuts with obs/trace live: the injected hang runs into
+// its attempt's deadline on the executor thread, the retry attempt's
+// campaign workers record into the registry and the sink while another
+// thread snapshots the registry and a third emits trace events; then a
+// campaign whose deadline passes mid-run stops both workers at a trial
+// boundary.
 // ---------------------------------------------------------------------------
 
 constexpr const char* kStressSpec =
@@ -220,20 +222,20 @@ constexpr const char* kStressSpec =
     "trials = 2\n"
     "master_seed = 3\n";
 
-TEST(TsanStress, WatchdogZombieReaperVsRetryAttempt) {
-    ObsStack obs_stack(temp_path("tsan_zombie_trace") + ".json");
+TEST(TsanStress, DeadlineCutAttemptVsObsSnapshotsAndTrace) {
+    ObsStack obs_stack(temp_path("tsan_deadline_trace") + ".json");
     const xp::Plan plan = xp::plan_spec(xp::parse_spec(kStressSpec), attack::default_registry());
 
-    // Every job hangs long past the watchdog on attempt 1, so every job's
-    // attempt 2 overlaps its own still-running zombie. Both spans scale
-    // with the sanitizer slowdown so an honest attempt always fits the
-    // budget and the hang never does (hang >> timeout >> honest attempt).
+    // Every job hangs long past its deadline on attempt 1, so every job
+    // burns one timeout and retries. Both spans scale with the sanitizer
+    // slowdown so an honest attempt always fits the budget and the hang
+    // never does (hang >> timeout >> honest attempt).
     const double scale = core::sanitized_build() ? 10.0 : 1.0;
     char hang_plan[48];
     std::snprintf(hang_plan, sizeof hang_plan, "job_hang(ms=%d,times=1)",
                   static_cast<int>(300 * scale));
     fi::Injector injector(fi::parse_fault_plan(hang_plan));
-    const std::string out = temp_path("tsan_zombie") + ".jsonl";
+    const std::string out = temp_path("tsan_deadline") + ".jsonl";
     xp::ResultWriter writer(out, /*truncate=*/true);
     xp::RunOptions options;
     options.workers = 2;
@@ -248,15 +250,35 @@ TEST(TsanStress, WatchdogZombieReaperVsRetryAttempt) {
             (void)obs_stack.registry.snapshot();
         }
     });
+    std::thread emitter([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            const obs::Span span("tsan.emit");
+            obs::fault_instant("tsan.tick", "racing the executor");
+        }
+    });
 
     const xp::RunStats stats =
         xp::execute_plan(plan, attack::default_registry(), {}, writer, options);
+
+    // A deadline that passes while two workers are claiming trials: the
+    // campaign either finishes first or stops with DeadlineExceeded.
+    const core::CampaignRunner runner(attack::default_registry());
+    core::CampaignConfig config;
+    config.trials = 64;
+    config.workers = 2;
+    config.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+    try {
+        EXPECT_EQ(runner.run("seqpair/swap", config).trials, 64);
+    } catch (const core::DeadlineExceeded&) {
+    }
     done.store(true, std::memory_order_release);
     snapshotter.join();
+    emitter.join();
 
     EXPECT_EQ(stats.executed, 4);
     EXPECT_EQ(stats.failed, 0);
     EXPECT_GE(stats.retries, 4); // each job burned attempt 1 on the hang
+    EXPECT_GE(obs_stack.registry.snapshot().counter_or("xp.watchdog_timeouts", 0.0), 4.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@
 //   --workers <n>        worker threads (0 = hardware concurrency)
 //   --max-jobs <n>       stop after executing n jobs (interruption testing)
 //   --max-attempts <n>   per-job attempts before quarantine (default 3)
-//   --job-timeout-ms <n> per-attempt watchdog timeout (0 = none)
+//   --job-timeout-ms <n> per-attempt deadline (0 = none), checked between trials
 //   --fi <plan>          fault-injection plan (chaos testing); overrides the
 //                        ROPUF_FI environment variable
 //   --quiet              suppress per-job progress lines
@@ -99,7 +99,7 @@ int usage(std::FILE* out) {
         "  --workers <n>        worker threads (0 = hardware concurrency)\n"
         "  --max-jobs <n>       stop after executing n jobs\n"
         "  --max-attempts <n>   per-job attempts before quarantine (default 3)\n"
-        "  --job-timeout-ms <n> per-attempt watchdog timeout in ms (0 = none)\n"
+        "  --job-timeout-ms <n> per-attempt deadline in ms (0 = none)\n"
         "  --fi <plan>          fault-injection plan (see README; overrides $ROPUF_FI)\n"
         "  --quiet              suppress per-job progress\n"
         "  --obs                metrics registry on (adds the 'obs' record side-key)\n"

@@ -12,7 +12,15 @@ This linter turns the conventions into mechanically enforced rules:
                        ropuf::rng streams and every clock read in a
                        deterministic path is a bug. Wall-clock reads that
                        only feed host-bound side-keys live in allowlisted
-                       files (obs/ heartbeat + executor backoff).
+                       files (the obs/ heartbeat and trace clock).
+  thread-spawn         Only the shared work pool (core/pool.cpp) and the
+                       progress heartbeat (obs/progress.{hpp,cpp}) may
+                       hold std::thread/std::jthread objects or call
+                       std::async in src/: every other parallel loop runs
+                       on core::WorkPool, so thread lifetimes, trace
+                       tracks and first-exception handling live in one
+                       place. std::thread::hardware_concurrency and
+                       std::this_thread stay legal everywhere.
   unordered-iteration  A function that serializes (calls
                        append_json_escaped / to_json / to_jsonl /
                        append_trace_escaped) must not iterate an
@@ -84,18 +92,28 @@ BANNED_SYMBOLS = [
 ]
 
 # Files (repo-relative prefixes) allowed to read wall clocks: they feed
-# only host-bound output (the obs heartbeat display, retry backoff pacing)
-# and never a deterministic record byte. steady_clock is allowed anywhere
-# (it feeds the isolated "timing" side-key); entries here cover the
-# genuinely wall-clock symbols above if those files ever need them.
+# only host-bound output (the obs heartbeat display) and never a
+# deterministic record byte. steady_clock is allowed anywhere (it feeds
+# the isolated "timing" side-key and attempt deadlines); entries here
+# cover the genuinely wall-clock symbols above if those files ever need
+# them.
 BANNED_SYMBOL_ALLOWLIST = (
     "src/ropuf/obs/",          # heartbeat / trace timestamps (host-bound)
-    "src/ropuf/xp/executor.cpp",  # retry backoff pacing (never feeds RNG)
 )
 
-# The rule only polices library code: benches/tests may time whatever they
-# like, and tools/ are host-side scripts.
-BANNED_SYMBOL_SCOPE = "src/"
+# Both library rules (banned-symbol, thread-spawn) police only src/:
+# benches/tests may time and thread whatever they like, and tools/ are
+# host-side programs.
+LIBRARY_SCOPE = "src/"
+
+# Thread objects and std::async; `std::thread::` (hardware_concurrency,
+# id) and std::this_thread are not spawns.
+THREAD_SPAWN = re.compile(r"\bstd::(?:j?thread\b(?!\s*::)|async\b)")
+THREAD_SPAWN_ALLOWLIST = (
+    "src/ropuf/core/pool.cpp",      # core::WorkPool, the one work pool
+    "src/ropuf/obs/progress.hpp",   # the progress heartbeat thread
+    "src/ropuf/obs/progress.cpp",
+)
 
 SERIALIZER_CALLS = re.compile(
     r"\b(?:append_json_escaped|append_trace_escaped|to_json|to_jsonl)\s*\(")
@@ -187,6 +205,7 @@ RULES = {
     "banned-symbol": "nondeterminism sources banned in src/",
     "unordered-iteration": "no unordered-container iteration in serializers",
     "jsonl-key-registry": "every emitted JSONL key must be registered",
+    "thread-spawn": "threads start only in core/pool.cpp and obs/progress",
     "obs-macro-literal": "ROPUF_OBS_* macros take literal names only",
     "layer-dag": "#include hygiene for the src/ropuf layer graph",
 }
@@ -405,13 +424,20 @@ def rel(path: str) -> str:
     return os.path.relpath(os.path.abspath(path), REPO_ROOT).replace(os.sep, "/")
 
 
+def scoped_path(rpath: str, scope: str):
+    """`rpath` from its `scope` component on (src/...), or None when the
+    file lies outside the scope."""
+    if rpath.startswith(scope):
+        return rpath
+    marker = rpath.find(f"/{scope}")
+    return rpath[marker + 1:] if marker >= 0 else None
+
+
 def check_banned_symbols(path: str, stripped: str, findings: list):
     rpath = rel(path)
-    marker = rpath.find(BANNED_SYMBOL_SCOPE)
-    if marker != 0 and f"/{BANNED_SYMBOL_SCOPE}" not in rpath:
-        return
-    scoped = rpath[rpath.index(BANNED_SYMBOL_SCOPE):]
-    if any(scoped.startswith(prefix) for prefix in BANNED_SYMBOL_ALLOWLIST):
+    scoped = scoped_path(rpath, LIBRARY_SCOPE)
+    if scoped is None or any(scoped.startswith(prefix)
+                             for prefix in BANNED_SYMBOL_ALLOWLIST):
         return
     # Blank string contents so prose like "wall time (ms)" in a report
     # label can't impersonate a time() call.
@@ -425,6 +451,22 @@ def check_banned_symbols(path: str, stripped: str, findings: list):
                     f"std::chrono::steady_clock (side-keys only). "
                     f"Wall-clock-only files can be allowlisted in "
                     f"tools/ropuf_lint.py."))
+
+
+def check_thread_spawn(path: str, stripped: str, findings: list):
+    rpath = rel(path)
+    scoped = scoped_path(rpath, LIBRARY_SCOPE)
+    if scoped is None or scoped in THREAD_SPAWN_ALLOWLIST:
+        return
+    for line_no, line in enumerate(blank_strings(stripped).split("\n"), start=1):
+        m = THREAD_SPAWN.search(line)
+        if m is None:
+            continue
+        findings.append(Finding(
+            rpath, line_no, "thread-spawn",
+            f"`{m.group(0)}` outside core/pool.cpp and obs/progress: run "
+            f"parallel work on core::WorkPool (an attempt runs inline and "
+            f"a deadline bounds it) instead of starting a thread here."))
 
 
 def check_unordered_iteration(path: str, stripped: str, findings: list):
@@ -550,6 +592,7 @@ def lint_file(path: str, diff_results_path: str, jsonl_emitters):
         text = f.read()
     stripped = strip_comments(text)
     check_banned_symbols(path, stripped, findings)
+    check_thread_spawn(path, stripped, findings)
     check_unordered_iteration(path, stripped, findings)
     check_obs_macro_literal(path, stripped, findings)
     check_layer_dag(path, stripped, findings)
