@@ -199,9 +199,10 @@ core::AnyOracle make_oracle(Victim<Puf>& victim) {
     return core::AnyOracle(std::make_shared<VictimOracle<Puf>>(victim));
 }
 
-/// A sanity validator for wrapping this construction's oracle in a
-/// core::SanityCheckingOracle: parse failures and DeviceTraits::sanity
-/// violations are refusals. Captures the puf by reference.
+/// A sanity validator for this construction — DefenseContext::validator,
+/// which the `sanity` and `noisyrefusal` defenses run per probe: parse
+/// failures and DeviceTraits::sanity violations are refusals. Captures the
+/// puf by reference.
 template <core::Device Puf>
 core::HelperValidator make_sanity_validator(const Puf& puf) {
     return [&puf](const helperdata::Nvm& nvm) {

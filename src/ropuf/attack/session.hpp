@@ -12,7 +12,7 @@
 //
 // Between any step/absorb cycle the caller can stop (budget spent), inspect
 // partial_key() (queries-vs-accuracy curves), or interpose middleware on the
-// oracle side (core::BudgetedOracle / SanityCheckingOracle / TracingOracle).
+// oracle side (core::BudgetedOracle, the defense:: middleware).
 // run_to_completion() is the thin driver that restores the old one-shot
 // behavior on top.
 //

@@ -73,7 +73,7 @@ struct EnrollResult {
 ///   static helperdata::SanityReport sanity(const Puf&, const Helper&);
 ///                                     // what a careful device would
 ///                                     // validate (Section VII-C); feeds the
-///                                     // SanityCheckingOracle countermeasure
+///                                     // `sanity` defense's FilterOracle
 template <typename Puf>
 struct DeviceTraits; // primary template intentionally undefined
 

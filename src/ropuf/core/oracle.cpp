@@ -31,59 +31,4 @@ void BudgetedOracle::evaluate(std::span<const Probe> probes, std::vector<bool>& 
     }
 }
 
-SanityCheckingOracle::SanityCheckingOracle(AnyOracle inner, HelperValidator validator)
-    : inner_(std::move(inner)), validator_(std::move(validator)) {
-    if (!inner_) throw std::invalid_argument("SanityCheckingOracle: null inner oracle");
-    if (!validator_) throw std::invalid_argument("SanityCheckingOracle: null validator");
-}
-
-void SanityCheckingOracle::evaluate(std::span<const Probe> probes,
-                                    std::vector<bool>& verdicts) {
-    verdicts.assign(probes.size(), true);
-    // Validate every probe once, then forward contiguous accepted runs so the
-    // inner oracle still sees real batches (and their amortized noise draws).
-    std::vector<char> accepted(probes.size(), 0);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        auto report = validator_(probes[i].helper);
-        if (report.ok) {
-            accepted[i] = 1;
-        } else {
-            ++refused_;
-            last_violations_ = std::move(report.violations);
-        }
-    }
-    std::vector<bool> sub;
-    std::size_t i = 0;
-    while (i < probes.size()) {
-        if (!accepted[i]) {
-            ++i; // verdict stays true: the device refuses to regenerate
-            continue;
-        }
-        std::size_t j = i;
-        while (j < probes.size() && accepted[j]) ++j;
-        inner_.impl()->evaluate(probes.subspan(i, j - i), sub);
-        for (std::size_t k = 0; k < sub.size(); ++k) verdicts[i + k] = sub[k];
-        i = j;
-    }
-}
-
-OracleStats SanityCheckingOracle::stats() const {
-    OracleStats s = inner_.stats();
-    // A refused probe still spent one of the attacker's queries, but the
-    // device never measured an oscillator for it.
-    s.queries += refused_;
-    s.refused += refused_;
-    return s;
-}
-
-void TracingOracle::evaluate(std::span<const Probe> probes, std::vector<bool>& verdicts) {
-    inner_.impl()->evaluate(probes, verdicts);
-    TraceSample sample;
-    sample.after = inner_.stats();
-    sample.probes = probes.size();
-    sample.failures = static_cast<std::size_t>(
-        std::count(verdicts.begin(), verdicts.end(), true));
-    trace_.push_back(sample);
-}
-
 } // namespace ropuf::core

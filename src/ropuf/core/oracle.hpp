@@ -8,21 +8,14 @@
 // so the simulation can amortize measurement-noise generation over a whole
 // batch (sim::RoArray::measure_batch_into).
 //
-// Middleware wrappers compose around any oracle, innermost first:
-//
-//   * BudgetedOracle       — hard query budget. Evaluates the affordable
-//     prefix of a batch, then flags exhaustion and throws BudgetExhausted,
-//     so "queries until the key falls" curves can be cut at any budget and
-//     a campaign job stops cleanly instead of running open-ended.
-//   * SanityCheckingOracle — the paper's Section VII countermeasure as a
-//     first-class defended scenario: a validator (typically built from
-//     DeviceTraits::sanity via helperdata/sanity) inspects every probe's
-//     blob; refused probes read as observable failures, are counted as
-//     attacker queries, but are never charged as oscillator measurements —
-//     the device rejected the helper data before measuring anything.
-//   * TracingOracle        — per-batch snapshots of the cumulative ledger,
-//     the raw material for queries-to-first-correct-bit / queries-to-key
-//     traces (attack::run_to_completion folds them against the true key).
+// Middleware wrappers compose around any oracle, innermost first. The one
+// core wrapper is BudgetedOracle — a hard query budget. It evaluates the
+// affordable prefix of a batch, then flags exhaustion and throws
+// BudgetExhausted, so "queries until the key falls" curves can be cut at
+// any budget and a campaign job stops cleanly instead of running
+// open-ended. Device-side countermeasures (the paper's Section VII
+// validation among them) are middleware of the defense layer, which feeds
+// them a HelperValidator built from DeviceTraits::sanity.
 //
 // The dependency direction stays sim -> constructions -> core -> attacks:
 // this header knows nothing about victims or constructions; the attack layer
@@ -57,7 +50,7 @@ struct Probe {
 /// attempt the attacker triggered (including ones a defense refused);
 /// `measurements` counts oscillator measurements actually performed
 /// (queries x declared device cost, zero for refused probes); `refused`
-/// counts probes rejected by a SanityCheckingOracle or a device-side parse
+/// counts probes rejected by a defense middleware or a device-side parse
 /// refusal before any measurement.
 struct OracleStats {
     std::int64_t queries = 0;
@@ -148,50 +141,5 @@ private:
 
 /// Structural helper-data validation result for one probe blob.
 using HelperValidator = std::function<helperdata::SanityReport(const helperdata::Nvm&)>;
-
-/// Routes every probe blob through a validator before the device sees it.
-/// A refused probe reads as an observable failure (the careful device
-/// declines to regenerate), is counted as an attacker query, but performs no
-/// oscillator measurement.
-class SanityCheckingOracle final : public OracleBase {
-public:
-    SanityCheckingOracle(AnyOracle inner, HelperValidator validator);
-
-    void evaluate(std::span<const Probe> probes, std::vector<bool>& verdicts) override;
-    OracleStats stats() const override;
-
-    std::int64_t refused() const { return refused_; }
-    /// Violations of the most recently refused probe (diagnostics).
-    const std::vector<std::string>& last_violations() const { return last_violations_; }
-
-private:
-    AnyOracle inner_;
-    HelperValidator validator_;
-    std::int64_t refused_ = 0;
-    std::vector<std::string> last_violations_;
-};
-
-/// One per-batch ledger snapshot recorded by TracingOracle.
-struct TraceSample {
-    OracleStats after;      ///< cumulative stats after the batch
-    std::size_t probes = 0; ///< batch size
-    std::size_t failures = 0; ///< verdicts that read "failed"
-};
-
-/// Records a cumulative-ledger snapshot after every batch. Keep the
-/// shared_ptr to read the trace after the run.
-class TracingOracle final : public OracleBase {
-public:
-    explicit TracingOracle(AnyOracle inner) : inner_(std::move(inner)) {}
-
-    void evaluate(std::span<const Probe> probes, std::vector<bool>& verdicts) override;
-    OracleStats stats() const override { return inner_.stats(); }
-
-    const std::vector<TraceSample>& trace() const { return trace_; }
-
-private:
-    AnyOracle inner_;
-    std::vector<TraceSample> trace_;
-};
 
 } // namespace ropuf::core

@@ -16,83 +16,57 @@ core::OracleStats with_refusals(const core::AnyOracle& inner, std::int64_t refus
     return s;
 }
 
-/// Evaluates `probes` through `inner`, forwarding contiguous accepted runs
-/// as whole batches (so the victim's amortized noise draws keep their batch
-/// shape) and leaving refused probes at their preset verdict.
-template <typename AcceptedFn>
-void forward_accepted(core::AnyOracle& inner, std::span<const core::Probe> probes,
-                      std::vector<bool>& verdicts, const AcceptedFn& accepted) {
+} // namespace
+
+// ---------------------------------------------------------------------------
+// FilterOracle
+// ---------------------------------------------------------------------------
+
+FilterOracle::FilterOracle(core::AnyOracle inner, Accept accept, double fail_probability,
+                           std::uint64_t seed)
+    : inner_(std::move(inner)),
+      accept_(std::move(accept)),
+      fail_probability_(fail_probability),
+      rng_(seed) {
+    if (!inner_) throw std::invalid_argument("FilterOracle: null inner oracle");
+    if (!accept_) throw std::invalid_argument("FilterOracle: null accept predicate");
+    if (!(fail_probability_ >= 0.0 && fail_probability_ <= 1.0)) {
+        throw std::invalid_argument("FilterOracle: probability outside [0, 1]");
+    }
+}
+
+void FilterOracle::evaluate(std::span<const core::Probe> probes,
+                            std::vector<bool>& verdicts) {
+    verdicts.assign(probes.size(), true);
+    std::vector<char> accepted(probes.size(), 0);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        if (accept_(probes[i].helper)) {
+            accepted[i] = 1;
+        } else {
+            ++refused_;
+            // One coin per refusal, drawn in probe order: the refusal answer
+            // is deterministic for a fixed defense seed and probe sequence.
+            if (fail_probability_ < 1.0) verdicts[i] = rng_.uniform() < fail_probability_;
+        }
+    }
+    // Forward contiguous accepted runs so the inner oracle still sees real
+    // batches; refused probes keep the verdict set above.
     std::vector<bool> sub;
     std::size_t i = 0;
     while (i < probes.size()) {
-        if (!accepted(i)) {
+        if (!accepted[i]) {
             ++i;
             continue;
         }
         std::size_t j = i;
-        while (j < probes.size() && accepted(j)) ++j;
-        inner.impl()->evaluate(probes.subspan(i, j - i), sub);
+        while (j < probes.size() && accepted[j]) ++j;
+        inner_.impl()->evaluate(probes.subspan(i, j - i), sub);
         for (std::size_t k = 0; k < sub.size(); ++k) verdicts[i + k] = sub[k];
         i = j;
     }
 }
 
-} // namespace
-
-// ---------------------------------------------------------------------------
-// MacBindingOracle
-// ---------------------------------------------------------------------------
-
-MacBindingOracle::MacBindingOracle(core::AnyOracle inner, const helperdata::Nvm& enrolled)
-    : inner_(std::move(inner)), enrolled_digest_(hash::Sha256::hash(enrolled.bytes())) {
-    if (!inner_) throw std::invalid_argument("MacBindingOracle: null inner oracle");
-}
-
-void MacBindingOracle::evaluate(std::span<const core::Probe> probes,
-                                std::vector<bool>& verdicts) {
-    verdicts.assign(probes.size(), true);
-    std::vector<char> accepted(probes.size(), 0);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (hash::Sha256::hash(probes[i].helper.bytes()) == enrolled_digest_) {
-            accepted[i] = 1;
-        } else {
-            ++refused_;
-        }
-    }
-    forward_accepted(inner_, probes, verdicts,
-                     [&](std::size_t i) { return accepted[i] != 0; });
-}
-
-core::OracleStats MacBindingOracle::stats() const { return with_refusals(inner_, refused_); }
-
-// ---------------------------------------------------------------------------
-// CanonicalFormOracle
-// ---------------------------------------------------------------------------
-
-CanonicalFormOracle::CanonicalFormOracle(core::AnyOracle inner, CanonicalCheck canonical)
-    : inner_(std::move(inner)), canonical_(std::move(canonical)) {
-    if (!inner_) throw std::invalid_argument("CanonicalFormOracle: null inner oracle");
-    if (!canonical_) throw std::invalid_argument("CanonicalFormOracle: null canonical check");
-}
-
-void CanonicalFormOracle::evaluate(std::span<const core::Probe> probes,
-                                   std::vector<bool>& verdicts) {
-    verdicts.assign(probes.size(), true);
-    std::vector<char> accepted(probes.size(), 0);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (canonical_(probes[i].helper)) {
-            accepted[i] = 1;
-        } else {
-            ++refused_;
-        }
-    }
-    forward_accepted(inner_, probes, verdicts,
-                     [&](std::size_t i) { return accepted[i] != 0; });
-}
-
-core::OracleStats CanonicalFormOracle::stats() const {
-    return with_refusals(inner_, refused_);
-}
+core::OracleStats FilterOracle::stats() const { return with_refusals(inner_, refused_); }
 
 // ---------------------------------------------------------------------------
 // LockoutOracle
@@ -156,44 +130,5 @@ void RateLimitOracle::evaluate(std::span<const core::Probe> probes,
 }
 
 core::OracleStats RateLimitOracle::stats() const { return with_refusals(inner_, refused_); }
-
-// ---------------------------------------------------------------------------
-// NoisyRefusalOracle
-// ---------------------------------------------------------------------------
-
-NoisyRefusalOracle::NoisyRefusalOracle(core::AnyOracle inner, core::HelperValidator validator,
-                                       double fail_probability, std::uint64_t seed)
-    : inner_(std::move(inner)),
-      validator_(std::move(validator)),
-      fail_probability_(fail_probability),
-      rng_(seed) {
-    if (!inner_) throw std::invalid_argument("NoisyRefusalOracle: null inner oracle");
-    if (!validator_) throw std::invalid_argument("NoisyRefusalOracle: null validator");
-    if (fail_probability_ < 0.0 || fail_probability_ > 1.0) {
-        throw std::invalid_argument("NoisyRefusalOracle: probability outside [0, 1]");
-    }
-}
-
-void NoisyRefusalOracle::evaluate(std::span<const core::Probe> probes,
-                                  std::vector<bool>& verdicts) {
-    verdicts.assign(probes.size(), true);
-    std::vector<char> accepted(probes.size(), 0);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (validator_(probes[i].helper).ok) {
-            accepted[i] = 1;
-        } else {
-            ++refused_;
-            // One coin per refusal, drawn in probe order: the refusal answer
-            // is deterministic for a fixed defense seed and probe sequence.
-            verdicts[i] = rng_.uniform() < fail_probability_;
-        }
-    }
-    forward_accepted(inner_, probes, verdicts,
-                     [&](std::size_t i) { return accepted[i] != 0; });
-}
-
-core::OracleStats NoisyRefusalOracle::stats() const {
-    return with_refusals(inner_, refused_);
-}
 
 } // namespace ropuf::defense

@@ -9,18 +9,21 @@
 // around any core::AnyOracle, exactly like core::BudgetedOracle — so one
 // victim can be defended by any stack, e.g.
 //
-//   Budgeted(RateLimited(Mac(oracle)))
+//   Budgeted(RateLimit(Filter[mac](oracle)))
 //
 // and the attack layer never learns which defenses are interposed except
-// through the verdicts themselves.
+// through the verdicts themselves. Three shapes cover the registry:
+// FilterOracle judges each probe on its own blob (sanity, crc, mac,
+// noisyrefusal), LockoutOracle bricks on the failures it has seen, and
+// RateLimitOracle serves a prefix of each burst.
 //
-// Shared refusal contract (same as core::SanityCheckingOracle): a refused
-// probe reads as an observable regeneration failure, costs the attacker one
-// query, but never reaches the silicon — stats() reports it under both
-// `queries` and `refused` with zero measurements. The one deliberate
-// exception is NoisyRefusalOracle, whose refusals are answered from a
-// deterministic coin so they are statistically indistinguishable from
-// genuine failures.
+// Shared refusal contract: a refused probe reads as an observable
+// regeneration failure, costs the attacker one query, but never reaches the
+// silicon — stats() reports it under both `queries` and `refused` with zero
+// measurements. The one deliberate exception is a FilterOracle with a
+// fail_probability below 1 (`noisyrefusal`), whose refusals are answered
+// from a deterministic coin so they are statistically indistinguishable
+// from genuine failures.
 //
 // Every middleware implements DefenseOracle, the uniform introspection
 // surface (refused(), locked()) the scenario driver uses to classify a run
@@ -29,12 +32,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "ropuf/core/oracle.hpp"
-#include "ropuf/hash/sha256.hpp"
 #include "ropuf/helperdata/blob.hpp"
 #include "ropuf/rng/xoshiro.hpp"
 
@@ -48,34 +49,22 @@ public:
     virtual bool locked() const { return false; }
 };
 
-/// Structural helper-data validation (the paper's own Section VII
-/// countermeasure) as a DefenseOracle: a thin adapter over
-/// core::SanityCheckingOracle, so `defense=sanity` gives the same verdict
-/// stream as wrapping the victim's oracle in that checker directly.
-class SanityDefenseOracle final : public DefenseOracle {
+/// Per-probe admission filter — the one shape behind `sanity` (structural
+/// validation, the paper's own Section VII countermeasure), `crc`
+/// (canonical re-encoding), `mac` (hash binding of the enrolled blob) and
+/// `noisyrefusal`. `accept` runs once per probe, in probe order; contiguous
+/// accepted runs are forwarded to `inner` as whole batches, so the victim's
+/// amortized noise draws keep their batch shape. A refusal reads "failed",
+/// or — when `fail_probability` < 1 — the answer of a deterministic coin
+/// drawn from `seed` at that refusal: an attack can then no longer treat
+/// "this probe failed" as "this probe was refused", and must tell refusal
+/// noise from measurement noise statistically.
+class FilterOracle final : public DefenseOracle {
 public:
-    SanityDefenseOracle(core::AnyOracle inner, core::HelperValidator validator)
-        : impl_(std::make_shared<core::SanityCheckingOracle>(std::move(inner),
-                                                             std::move(validator))) {}
+    using Accept = std::function<bool(const helperdata::Nvm&)>;
 
-    void evaluate(std::span<const core::Probe> probes, std::vector<bool>& verdicts) override {
-        impl_->evaluate(probes, verdicts);
-    }
-    core::OracleStats stats() const override { return impl_->stats(); }
-    std::int64_t refused() const override { return impl_->refused(); }
-
-private:
-    std::shared_ptr<core::SanityCheckingOracle> impl_;
-};
-
-/// Helper-data MAC/hash binding: the device holds a fused digest of the
-/// enrolled helper blob (modeling an HMAC tag computed with a device-local
-/// secret at enrollment) and refuses any NVM content whose digest differs.
-/// Every manipulation attack degrades to denial of service; only the honest
-/// blob regenerates.
-class MacBindingOracle final : public DefenseOracle {
-public:
-    MacBindingOracle(core::AnyOracle inner, const helperdata::Nvm& enrolled);
+    FilterOracle(core::AnyOracle inner, Accept accept, double fail_probability = 1.0,
+                 std::uint64_t seed = 0);
 
     void evaluate(std::span<const core::Probe> probes, std::vector<bool>& verdicts) override;
     core::OracleStats stats() const override;
@@ -83,29 +72,9 @@ public:
 
 private:
     core::AnyOracle inner_;
-    hash::Digest enrolled_digest_;
-    std::int64_t refused_ = 0;
-};
-
-/// Canonical-form ("CRC/structural") check: the device re-serializes every
-/// parsed helper and refuses blobs that are not in canonical encoding
-/// (trailing garbage, non-canonical padding, unparseable content). Cheaper
-/// than full sanity validation and construction-specific through the
-/// supplied predicate; canonical re-encodings of manipulated *structures*
-/// still pass — which is exactly the gap the matrix measures.
-class CanonicalFormOracle final : public DefenseOracle {
-public:
-    using CanonicalCheck = std::function<bool(const helperdata::Nvm&)>;
-
-    CanonicalFormOracle(core::AnyOracle inner, CanonicalCheck canonical);
-
-    void evaluate(std::span<const core::Probe> probes, std::vector<bool>& verdicts) override;
-    core::OracleStats stats() const override;
-    std::int64_t refused() const override { return refused_; }
-
-private:
-    core::AnyOracle inner_;
-    CanonicalCheck canonical_;
+    Accept accept_;
+    double fail_probability_;
+    rng::Xoshiro256pp rng_;
     std::int64_t refused_ = 0;
 };
 
@@ -153,30 +122,6 @@ private:
     std::int64_t max_queries_;
     std::int64_t max_batch_;
     std::int64_t served_ = 0;
-    std::int64_t refused_ = 0;
-};
-
-/// Noisy refusal: structural validation whose refusals are answered from a
-/// deterministic coin with the supplied failure probability, instead of the
-/// always-fail refusal every other defense emits. An attack can no longer
-/// treat "this probe failed" as "this probe was refused" — a refused wrong
-/// hypothesis sometimes *passes*, poisoning the failure-rate statistics the
-/// Section VI attacks are built on, so the attacker must distinguish
-/// refusal noise from measurement noise statistically.
-class NoisyRefusalOracle final : public DefenseOracle {
-public:
-    NoisyRefusalOracle(core::AnyOracle inner, core::HelperValidator validator,
-                       double fail_probability, std::uint64_t seed);
-
-    void evaluate(std::span<const core::Probe> probes, std::vector<bool>& verdicts) override;
-    core::OracleStats stats() const override;
-    std::int64_t refused() const override { return refused_; }
-
-private:
-    core::AnyOracle inner_;
-    core::HelperValidator validator_;
-    double fail_probability_;
-    rng::Xoshiro256pp rng_;
     std::int64_t refused_ = 0;
 };
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "ropuf/core/attack_engine.hpp"
+#include "ropuf/hash/sha256.hpp"
 
 namespace ropuf::defense {
 
@@ -29,11 +30,25 @@ std::string trim(std::string_view s) {
 }
 
 /// %g keeps integer-valued args integer-spelled ("8", not "8.000000"), so
-/// canonical tokens stay stable and human-readable.
+/// canonical tokens stay stable and human-readable. Its six significant
+/// digits are widened only when they would not round-trip through strtod,
+/// so two distinct args never share a canonical token (or a spec hash).
 std::string format_arg(double v) {
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
+    for (int digits = 6; digits <= 17; ++digits) { // 17 always round-trips
+        std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+        if (std::strtod(buf, nullptr) == v) break;
+    }
     return buf;
+}
+
+/// The `sanity` predicate: a probe is admitted iff the construction's
+/// structural validator reports no violation.
+FilterOracle::Accept sanity_accept(const DefenseContext& ctx) {
+    if (!ctx.validator) throw std::invalid_argument("defense: null helper validator");
+    return [validator = ctx.validator](const helperdata::Nvm& nvm) {
+        return validator(nvm).ok;
+    };
 }
 
 const Defense& resolve(std::string_view name, const DefenseRegistry& registry) {
@@ -117,24 +132,27 @@ void register_builtin_defenses(DefenseRegistry& registry) {
         {"sanity", "per-construction structural helper-data validation", "Sec. VII-C",
          0, {}, {},
          [](core::AnyOracle inner, const DefenseContext& ctx, std::span<const double>) {
-             return std::static_pointer_cast<DefenseOracle>(
-                 std::make_shared<SanityDefenseOracle>(std::move(inner), ctx.validator));
+             return std::make_shared<FilterOracle>(std::move(inner), sanity_accept(ctx));
          }});
 
     registry.add_or_replace(
         {"crc", "canonical-form re-encode check (store(parse(x)) == x)", "Sec. VII-C",
          0, {}, {},
          [](core::AnyOracle inner, const DefenseContext& ctx, std::span<const double>) {
-             return std::static_pointer_cast<DefenseOracle>(
-                 std::make_shared<CanonicalFormOracle>(std::move(inner), ctx.canonical));
+             return std::make_shared<FilterOracle>(std::move(inner), ctx.canonical);
          }});
 
     registry.add_or_replace(
         {"mac", "fused hash/MAC binding of the enrolled helper blob",
          "Fischer; Boyen et al. [1]", 0, {}, {},
          [](core::AnyOracle inner, const DefenseContext& ctx, std::span<const double>) {
-             return std::static_pointer_cast<DefenseOracle>(
-                 std::make_shared<MacBindingOracle>(std::move(inner), ctx.enrolled));
+             // The device holds a fused digest of the enrolled blob (an HMAC
+             // tag under a device-local secret): only the honest blob passes.
+             return std::make_shared<FilterOracle>(
+                 std::move(inner), [digest = hash::Sha256::hash(ctx.enrolled.bytes())](
+                                       const helperdata::Nvm& nvm) {
+                     return hash::Sha256::hash(nvm.bytes()) == digest;
+                 });
          }});
 
     registry.add_or_replace(
@@ -172,9 +190,8 @@ void register_builtin_defenses(DefenseRegistry& registry) {
              }
          },
          [](core::AnyOracle inner, const DefenseContext& ctx, std::span<const double> args) {
-             return std::static_pointer_cast<DefenseOracle>(
-                 std::make_shared<NoisyRefusalOracle>(std::move(inner), ctx.validator,
-                                                      args[0], ctx.seed));
+             return std::make_shared<FilterOracle>(std::move(inner), sanity_accept(ctx),
+                                                   args[0], ctx.seed);
          }});
 }
 

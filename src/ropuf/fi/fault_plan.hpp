@@ -7,7 +7,7 @@
 //   store_write_fail(p=0.01)        each result append fails with prob. p
 //   torn_write(every=3)             every 3rd append writes half a line, then fails
 //   job_throw(ids=1|4,times=0)      throw inside the per-job call seam
-//   job_hang(ids=2,ms=400,times=1)  sleep ms before the job runs (watchdog bait)
+//   job_hang(ids=2,ms=400,times=1)  sleep ms before the job runs (deadline bait)
 //   trial_throw(ids=0,p=0.5)        throw inside a CampaignRunner trial worker
 //   worker_abort(after=2)           stop dispatching after 2 completed jobs
 //                                   (a crash-equivalent early exit)
@@ -42,7 +42,7 @@ enum class FaultPoint {
     store_write_fail, ///< ResultWriter::append fails before writing
     torn_write,       ///< ResultWriter::append writes a torn half-line, then fails
     job_throw,        ///< executor per-job seam throws
-    job_hang,         ///< executor per-job seam sleeps (watchdog/timeout bait)
+    job_hang,         ///< executor per-job seam sleeps (deadline/timeout bait)
     trial_throw,      ///< CampaignRunner trial worker throws
     worker_abort,     ///< executor stops dispatching (crash-equivalent exit)
 };

@@ -1,7 +1,8 @@
 // The countermeasure registry and its middleware: token grammar, canonical
-// spelling, refusal accounting, lockout/rate-limit bricking, MAC binding and
-// the noisy-refusal coin — plus the scenario-level outcome classification
-// the attack x defense matrix is built on.
+// spelling, refusal accounting, lockout/rate-limit bricking, MAC binding,
+// the canonical-form check and the noisy-refusal coin — plus the
+// scenario-level outcome classification the attack x defense matrix is
+// built on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,6 +80,11 @@ TEST(DefenseToken, CanonicalSpellingFillsRegistryDefaults) {
     EXPECT_EQ(defense::canonical_token("lockout( 8 )", registry), "lockout(8)");
     EXPECT_EQ(defense::canonical_token("ratelimit(100)", registry), "ratelimit(100,64)");
     EXPECT_EQ(defense::canonical_token("noisyrefusal", registry), "noisyrefusal(0.5)");
+    // Args %g would round to six significant digits keep every digit.
+    EXPECT_EQ(defense::canonical_token("ratelimit(1234567,64)", registry),
+              "ratelimit(1234567,64)");
+    EXPECT_EQ(defense::canonical_token("noisyrefusal(0.1234567)", registry),
+              "noisyrefusal(0.1234567)");
 }
 
 TEST(DefenseToken, UnknownNamesAndArityViolationsCarrySuggestions) {
@@ -114,23 +120,43 @@ TEST(DefenseRegistry, DuplicateAddThrowsAndBuiltinsAreIdempotent) {
 // ---------------------------------------------------------------------------
 
 TEST(DefenseMiddleware, MacBindingRefusesEverythingButTheEnrolledBlob) {
-    const Nvm enrolled(std::vector<std::uint8_t>{0, 0xab, 0xcd});
+    defense::DefenseContext ctx;
+    ctx.enrolled = Nvm(std::vector<std::uint8_t>{0, 0xab, 0xcd});
     auto inner = std::make_shared<ScriptedOracle>();
-    auto mac = std::make_shared<defense::MacBindingOracle>(AnyOracle(inner), enrolled);
+    auto mac = defense::apply_defense("mac", AnyOracle(inner), ctx);
 
     std::vector<Probe> probes = {probe_with(0), probe_with(1), probe_with(0)};
     probes[1].helper.bytes()[2] ^= 0x80; // any bit flip breaks the binding
-    std::vector<bool> verdicts;
-    mac->evaluate(probes, verdicts);
-    EXPECT_EQ(verdicts, (std::vector<bool>{false, true, false}));
-    EXPECT_EQ(mac->refused(), 1);
-    EXPECT_FALSE(mac->locked());
+    EXPECT_EQ(mac.oracle.evaluate(probes), (std::vector<bool>{false, true, false}));
+    EXPECT_EQ(mac.refused(), 1);
+    EXPECT_FALSE(mac.locked());
 
     // The refused probe costs a query but no measurement.
-    const OracleStats stats = mac->stats();
+    const OracleStats stats = mac.oracle.stats();
     EXPECT_EQ(stats.queries, 3);
     EXPECT_EQ(stats.measurements, 20);
     EXPECT_EQ(stats.refused, 1);
+}
+
+TEST(DefenseMiddleware, CrcRefusesTrailingGarbageBeforeTheDevice) {
+    // Scripted canonical check: the canonical encoding is exactly 3 bytes.
+    defense::DefenseContext ctx;
+    ctx.canonical = [](const Nvm& nvm) { return nvm.bytes().size() == 3; };
+    auto inner = std::make_shared<ScriptedOracle>();
+    auto crc = defense::apply_defense("crc", AnyOracle(inner), ctx);
+
+    std::vector<Probe> probes = {probe_with(0), probe_with(0), probe_with(1)};
+    probes[1].helper.bytes().push_back(0xee); // trailing garbage
+    EXPECT_EQ(crc.oracle.evaluate(probes), (std::vector<bool>{false, true, true}));
+    EXPECT_EQ(crc.refused(), 1);
+    EXPECT_FALSE(crc.locked());
+
+    // One query, no measurement, and the inner oracle never saw the blob.
+    const OracleStats stats = crc.oracle.stats();
+    EXPECT_EQ(stats.queries, 3);
+    EXPECT_EQ(stats.measurements, 20);
+    EXPECT_EQ(stats.refused, 1);
+    EXPECT_EQ(inner->stats().queries, 2);
 }
 
 TEST(DefenseMiddleware, LockoutBricksMidBatchAfterKFailures) {
@@ -182,16 +208,17 @@ TEST(DefenseMiddleware, NoisyRefusalAnswersRefusalsFromADeterministicCoin) {
         return report;
     };
     const auto run_with_seed = [&](std::uint64_t seed) {
+        defense::DefenseContext ctx;
+        ctx.validator = validator;
+        ctx.seed = seed;
         auto inner = std::make_shared<ScriptedOracle>();
-        auto noisy = std::make_shared<defense::NoisyRefusalOracle>(AnyOracle(inner), validator,
-                                                                   0.5, seed);
+        auto noisy = defense::apply_defense("noisyrefusal(0.5)", AnyOracle(inner), ctx);
         std::vector<Probe> probes;
         for (int i = 0; i < 200; ++i) probes.push_back(probe_with(2));
         probes.push_back(probe_with(0)); // valid: forwarded, passes
         probes.push_back(probe_with(1)); // valid: forwarded, fails
-        std::vector<bool> verdicts;
-        noisy->evaluate(probes, verdicts);
-        EXPECT_EQ(noisy->refused(), 200);
+        const std::vector<bool> verdicts = noisy.oracle.evaluate(probes);
+        EXPECT_EQ(noisy.refused(), 200);
         EXPECT_EQ(inner->stats().queries, 2); // only the valid probes measured
         EXPECT_FALSE(verdicts[200]);
         EXPECT_TRUE(verdicts[201]);

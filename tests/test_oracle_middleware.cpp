@@ -1,7 +1,7 @@
 // Oracle middleware accounting: batched vs one-at-a-time ledger parity,
 // budget exhaustion mid-batch, sanity-check refusals (counted as queries,
-// never charged as measurements), trace snapshots, and the batched
-// measurement path's bit-identity with sequential scans.
+// never charged as measurements), and the batched measurement path's
+// bit-identity with sequential scans.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +13,7 @@
 #include "ropuf/attack/seqpair_attack.hpp"
 #include "ropuf/attack/session.hpp"
 #include "ropuf/core/oracle.hpp"
+#include "ropuf/defense/registry.hpp"
 #include "ropuf/pairing/puf_pipeline.hpp"
 #include "ropuf/sim/ro_array.hpp"
 
@@ -143,9 +144,10 @@ TEST(OracleMiddleware, BudgetExhaustsMidBatchAfterChargingThePrefix) {
 TEST(OracleMiddleware, SanityRefusalsAreCountedButNeverMeasured) {
     Rig rig;
     auto victim = rig.victim();
-    auto sanity = std::make_shared<core::SanityCheckingOracle>(
-        attack::make_oracle(victim), attack::make_sanity_validator(rig.puf));
-    core::AnyOracle oracle{sanity};
+    defense::DefenseContext ctx;
+    ctx.validator = attack::make_sanity_validator(rig.puf);
+    const auto sanity = defense::apply_defense("sanity", attack::make_oracle(victim), ctx);
+    core::AnyOracle oracle = sanity.oracle;
 
     // accepted, refused (RO reuse), accepted, refused — interleaved so the
     // forwarding of contiguous accepted runs is exercised.
@@ -160,29 +162,14 @@ TEST(OracleMiddleware, SanityRefusalsAreCountedButNeverMeasured) {
     EXPECT_EQ(stats.queries, 4);                          // refused probes still cost queries
     EXPECT_EQ(stats.refused, 2);
     EXPECT_EQ(stats.measurements, 2 * rig.chip.count()); // only accepted probes measure
-    EXPECT_EQ(sanity->refused(), 2);
-    EXPECT_FALSE(sanity->last_violations().empty());
+    EXPECT_EQ(sanity.refused(), 2);
+    // The validator names what the RO-reuse probe violates.
+    const auto report = ctx.validator(rig.reuse_probe().helper);
+    EXPECT_FALSE(report.ok);
+    EXPECT_FALSE(report.violations.empty());
 
     // The victim underneath never saw the refused probes at all.
     EXPECT_EQ(victim.queries(), 2);
-}
-
-TEST(OracleMiddleware, TracingRecordsCumulativeSnapshotsPerBatch) {
-    Rig rig;
-    auto victim = rig.victim();
-    auto tracing = std::make_shared<core::TracingOracle>(attack::make_oracle(victim));
-    core::AnyOracle oracle{tracing};
-
-    oracle.evaluate(std::vector<core::Probe>{rig.probe(), rig.probe()});
-    oracle.evaluate_one(rig.probe());
-
-    const auto& trace = tracing->trace();
-    ASSERT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace[0].probes, 2u);
-    EXPECT_EQ(trace[0].after.queries, 2);
-    EXPECT_EQ(trace[1].probes, 1u);
-    EXPECT_EQ(trace[1].after.queries, 3);
-    EXPECT_EQ(trace[1].after.measurements, 3 * rig.chip.count());
 }
 
 TEST(OracleMiddleware, UnknownScenarioNamesSuggestTheClosestMatch) {

@@ -258,6 +258,23 @@ TEST(SweepSpec, HashIsStableAcrossFormattingAndSensitiveToContent) {
     EXPECT_EQ(xp::spec_hash(a).size(), 16u);
 }
 
+TEST(SweepSpec, DefenseArgsBeyondSixDigitsKeepDistinctHashes) {
+    // Canonical tokens once kept only %g's six significant digits, so these
+    // two specs shared a hash and both ran as ratelimit(1234570,64).
+    const auto& registry = attack::default_registry();
+    const SweepSpec a =
+        parse_spec("name=r\nscenarios=seqpair/swap\ndefense=ratelimit(1234567,64)\n");
+    const SweepSpec b =
+        parse_spec("name=r\nscenarios=seqpair/swap\ndefense=ratelimit(1234568,64)\n");
+    EXPECT_NE(xp::spec_hash(a), xp::spec_hash(b));
+    const xp::Plan plan_a = plan_spec(a, registry);
+    const xp::Plan plan_b = plan_spec(b, registry);
+    EXPECT_NE(plan_a.hash, plan_b.hash);
+    ASSERT_EQ(plan_a.jobs.size(), 1u);
+    EXPECT_EQ(plan_a.jobs[0].params.defense, "ratelimit(1234567,64)");
+    EXPECT_EQ(plan_b.jobs[0].params.defense, "ratelimit(1234568,64)");
+}
+
 TEST(SweepSpec, Fnv1aMatchesKnownVector) {
     // Standard FNV-1a 64 test vectors.
     EXPECT_EQ(xp::fnv1a64(""), 0xcbf29ce484222325ULL);
