@@ -75,15 +75,6 @@ std::string_view to_string(AttackOutcome outcome) {
     return "gave_up";
 }
 
-AttackOutcome outcome_from_string(std::string_view name) {
-    for (AttackOutcome o : {AttackOutcome::recovered, AttackOutcome::gave_up,
-                            AttackOutcome::budget_exhausted,
-                            AttackOutcome::refused_by_defense, AttackOutcome::locked_out}) {
-        if (to_string(o) == name) return o;
-    }
-    throw std::invalid_argument("unknown attack outcome: " + std::string(name));
-}
-
 namespace {
 
 /// Nearest candidate by Levenshtein distance (ties: first listed).

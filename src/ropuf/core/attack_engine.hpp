@@ -54,8 +54,6 @@ enum class AttackOutcome {
 };
 
 std::string_view to_string(AttackOutcome outcome);
-/// Inverse of to_string; throws std::invalid_argument on unknown names.
-AttackOutcome outcome_from_string(std::string_view name);
 
 /// One point of a progress trace: cumulative oracle queries vs recovered-bit
 /// accuracy of the attack's partial key at that moment.

@@ -31,13 +31,6 @@ std::string_view job_error_class_name(JobErrorClass cls) {
     return "unknown";
 }
 
-JobErrorClass job_error_class_from(std::string_view name) {
-    for (const auto& entry : kClasses) {
-        if (name == entry.name) return entry.cls;
-    }
-    return JobErrorClass::unknown;
-}
-
 namespace {
 
 JobError classify_current_exception() {

@@ -37,10 +37,6 @@ enum class JobErrorClass {
 /// Stable wire name ("scenario_exception", ...) — what JSONL records carry.
 std::string_view job_error_class_name(JobErrorClass cls);
 
-/// Inverse of job_error_class_name; unrecognized names map to `unknown` so
-/// old readers survive new classes.
-JobErrorClass job_error_class_from(std::string_view name);
-
 /// One captured, classified job failure.
 struct JobError {
     JobErrorClass cls = JobErrorClass::unknown;

@@ -3,115 +3,31 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <map>
 #include <optional>
-#include <thread>
+#include <stdexcept>
 
-#include "ropuf/core/attack_engine.hpp" // append_json_escaped
 #include "ropuf/core/errors.hpp"
 #include "ropuf/core/pool.hpp"
 #include "ropuf/fleet/enroll.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/trace.hpp"
-#include "ropuf/xp/json.hpp"
 
 namespace ropuf::fleet {
 
 namespace {
 
-/// Everything one shard reports back: exact integer aggregates plus the
-/// host-bound timing/fault side data.
-struct ShardOutcome {
-    std::uint64_t shard = 0;
-    std::uint64_t device_first = 0;
-    std::uint32_t device_count = 0;
-    std::vector<std::uint32_t> success_hist; // trials+1 bins
-    std::uint32_t devices_ok = 0;
-    std::uint64_t trials_ok = 0;
-    std::uint64_t bit_errors = 0;
-    std::uint64_t measurements = 0;
-    double wall_ms = 0.0;
-    bool failed = false;
-    core::JobError error;
-};
-
-void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
-/// The deterministic record line for one completed shard, xp-style: the
-/// deterministic prefix first, then the "timing" side-key (and "fault"
-/// for quarantines) that diff_results.py / deterministic_prefix() strip.
-std::string shard_record_line(const FleetSpec& spec, const std::string& hash,
-                              const ShardOutcome& o, int workers) {
-    std::string line = "{\"spec\":\"";
-    core::append_json_escaped(line, spec.name);
-    line += "\",\"spec_hash\":\"" + hash + "\",\"job\":\"";
-    line += shard_job_id(spec, o.shard);
-    line += "\",\"shard\":";
-    append_u64(line, o.shard);
-    line += ",\"device_first\":";
-    append_u64(line, o.device_first);
-    line += ",\"device_count\":";
-    append_u64(line, o.device_count);
-    if (!o.failed) {
-        line += ",\"key_bits\":" + std::to_string(spec.key_bits);
-        line += ",\"trials\":" + std::to_string(spec.trials);
-        line += ",\"majority_wins\":" + std::to_string(spec.majority_wins);
-        line += ",\"base_seed\":";
-        append_u64(line, spec.base_seed);
-        line += ",\"devices_ok\":";
-        append_u64(line, o.devices_ok);
-        line += ",\"trials_ok\":";
-        append_u64(line, o.trials_ok);
-        line += ",\"bit_errors\":";
-        append_u64(line, o.bit_errors);
-        line += ",\"success_hist\":[";
-        for (std::size_t k = 0; k < o.success_hist.size(); ++k) {
-            if (k > 0) line += ',';
-            append_u64(line, o.success_hist[k]);
-        }
-        line += "],\"measurements\":";
-        append_u64(line, o.measurements);
-        line += ",\"outcome\":\"ok\"";
-    } else {
-        line += ",\"outcome\":\"job_failed\"";
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, ",\"timing\":{\"wall_ms\":%.3f,\"workers\":%d",
-                  o.wall_ms, workers);
-    line += buf;
-    line += ",\"hardware_concurrency\":" +
-            std::to_string(std::thread::hardware_concurrency());
-    line += ",\"simd\":\"";
-    line += simd::path_name(simd::active_path());
-    line += "\"}";
-    if (o.failed) {
-        line += ",\"fault\":{\"attempts\":1,\"class\":\"";
-        line += core::job_error_class_name(o.error.cls);
-        line += "\",\"message\":\"";
-        core::append_json_escaped(line, o.error.message);
-        line += "\"}";
-    }
-    line += "}";
-    return line;
-}
-
 /// Measures one shard and reduces it to integer aggregates. Bitwise
 /// deterministic in (spec, shard): streams are keyed on global device
 /// ids, never on the caller.
-ShardOutcome run_shard(const Population& population, const EnrollmentMap& enrollment,
-                       std::uint64_t shard, std::vector<std::vector<double>>& scratch) {
+void run_shard(const Population& population, const EnrollmentMap& enrollment, ShardRecord& o,
+               std::vector<std::vector<double>>& scratch) {
     const FleetSpec& spec = population.spec();
-    const std::uint64_t first = shard * kShardDevices;
-    const std::size_t count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kShardDevices, spec.devices - first));
+    const std::uint64_t first = o.device_first;
+    const std::size_t count = o.device_count;
     const std::size_t n = static_cast<std::size_t>(spec.ro_count());
     const int trials = spec.trials;
     const int wins = spec.majority_wins;
-
-    ShardOutcome o;
-    o.shard = shard;
-    o.device_first = first;
-    o.device_count = static_cast<std::uint32_t>(count);
     o.success_hist.assign(static_cast<std::size_t>(trials) + 1, 0);
 
     sim::RoFleet fleet =
@@ -143,24 +59,19 @@ ShardOutcome run_shard(const Population& population, const EnrollmentMap& enroll
     }
     o.measurements = static_cast<std::uint64_t>(count) * n *
                      static_cast<std::uint64_t>(trials * wins);
-    return o;
 }
 
-/// Folds one shard's aggregates into the run stats.
-void fold(FleetRunStats& stats, const ShardOutcome& o, int trials_per_device) {
-    if (o.failed) {
-        ++stats.failed;
-        return;
-    }
+/// Folds one completed shard's aggregates into the run stats.
+void fold(FleetRunStats& stats, const ShardRecord& o) {
     ++stats.executed;
     stats.devices += o.device_count;
     stats.devices_ok += o.devices_ok;
-    stats.trials += static_cast<std::uint64_t>(o.device_count) *
-                    static_cast<std::uint64_t>(trials_per_device);
+    stats.trials += o.device_count * o.trials;
     stats.trials_ok += o.trials_ok;
     stats.bit_errors += o.bit_errors;
     stats.measurements += o.measurements;
-    for (std::size_t k = 0; k < o.success_hist.size() && k < stats.success_hist.size(); ++k) {
+    stats.success_hist.resize(std::max(stats.success_hist.size(), o.success_hist.size()));
+    for (std::size_t k = 0; k < o.success_hist.size(); ++k) {
         stats.success_hist[k] += o.success_hist[k];
     }
 }
@@ -171,31 +82,98 @@ std::uint64_t shard_count(const Population& population) {
     return (population.devices() + kShardDevices - 1) / kShardDevices;
 }
 
-std::string shard_job_id(const FleetSpec& spec, std::uint64_t shard) {
+std::string shard_job_id(const std::string& spec_hash, std::uint64_t shard) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "-s%05llu", static_cast<unsigned long long>(shard));
-    return fleet_spec_hash(spec) + buf;
+    return spec_hash + buf;
 }
 
-std::set<std::uint64_t> completed_shards(const std::string& path, const FleetSpec& spec) {
-    std::set<std::uint64_t> done;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return done; // fresh run
-    const std::string hash = fleet_spec_hash(spec);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        try {
-            const xp::JsonValue v = xp::parse_json(line);
-            if (v.string_or("spec_hash", "") != hash) continue;
-            if (v.string_or("outcome", "") != "ok") continue;
-            const double shard = v.number_or("shard", -1.0);
-            if (shard >= 0) done.insert(static_cast<std::uint64_t>(shard));
-        } catch (const std::exception&) {
-            // torn tail / foreign garbage: skip, like the JSONL reader
+std::string shard_record_line(const ShardRecord& r) {
+    std::string line = "{";
+    xp::append_identity(line, r);
+    line += ",\"shard\":" + std::to_string(r.shard);
+    line += ",\"device_first\":" + std::to_string(r.device_first);
+    line += ",\"device_count\":" + std::to_string(r.device_count);
+    if (!r.failed()) {
+        line += ",\"key_bits\":" + std::to_string(r.key_bits);
+        line += ",\"trials\":" + std::to_string(r.trials);
+        line += ",\"majority_wins\":" + std::to_string(r.majority_wins);
+        line += ",\"base_seed\":" + std::to_string(r.base_seed);
+        line += ",\"devices_ok\":" + std::to_string(r.devices_ok);
+        line += ",\"trials_ok\":" + std::to_string(r.trials_ok);
+        line += ",\"bit_errors\":" + std::to_string(r.bit_errors);
+        line += ",\"success_hist\":[";
+        for (std::size_t k = 0; k < r.success_hist.size(); ++k) {
+            if (k > 0) line += ',';
+            line += std::to_string(r.success_hist[k]);
+        }
+        line += "],\"measurements\":" + std::to_string(r.measurements);
+    }
+    line += r.failed() ? ",\"outcome\":\"job_failed\"" : ",\"outcome\":\"ok\"";
+    xp::append_host_tail(line, r);
+    line += '}';
+    return line;
+}
+
+ShardRecord decode_shard_record(const xp::JsonValue& doc) {
+    ShardRecord r;
+    xp::decode_envelope(doc, r);
+    if (doc.find("shard") == nullptr) throw std::logic_error("not a fleet shard record");
+    const auto field = [&doc](const char* key) { return doc.u64_or(key, 0); };
+    r.shard = field("shard");
+    r.device_first = field("device_first");
+    r.device_count = field("device_count");
+    r.key_bits = field("key_bits");
+    r.trials = field("trials");
+    r.majority_wins = field("majority_wins");
+    r.base_seed = field("base_seed");
+    r.devices_ok = field("devices_ok");
+    r.trials_ok = field("trials_ok");
+    r.bit_errors = field("bit_errors");
+    r.measurements = field("measurements");
+    if (const xp::JsonValue* hist = doc.find("success_hist"); hist != nullptr && hist->is_array()) {
+        for (const xp::JsonValue& bin : hist->as_array()) {
+            const double v = bin.type() == xp::JsonValue::Type::Number ? bin.as_number() : -1.0;
+            if (!(v >= 0.0 && v < 0x1p64)) throw std::logic_error("bad success_hist bin");
+            r.success_hist.push_back(static_cast<std::uint64_t>(v));
         }
     }
-    return done;
+    return r;
+}
+
+FleetRunStats read_campaign_results(const std::string& path, xp::ReadStats* stats) {
+    std::map<std::string, ShardRecord> latest;
+    xp::read_record_lines(
+        path,
+        [&latest](const xp::JsonValue& doc) {
+            ShardRecord r = decode_shard_record(doc);
+            const std::string id = r.job_id;
+            latest[id] = std::move(r);
+        },
+        stats);
+    FleetRunStats out;
+    out.total_shards = latest.size();
+    for (const auto& [id, r] : latest) {
+        if (r.failed()) {
+            ++out.failed;
+        } else {
+            fold(out, r);
+        }
+    }
+    return out;
+}
+
+std::string population_summary(const FleetRunStats& s) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "population: %llu/%llu devices all-trials-ok, %llu/%llu trials ok, "
+                  "%llu bit error(s)\n",
+                  static_cast<unsigned long long>(s.devices_ok),
+                  static_cast<unsigned long long>(s.devices),
+                  static_cast<unsigned long long>(s.trials_ok),
+                  static_cast<unsigned long long>(s.trials),
+                  static_cast<unsigned long long>(s.bit_errors));
+    return buf;
 }
 
 FleetRunStats run_fleet_campaign(const Population& population,
@@ -220,10 +198,11 @@ FleetRunStats run_fleet_campaign(const Population& population,
     // The dispatch list: pending shards in shard order, optionally
     // truncated by max_shards — a deterministic interruption point that
     // does not depend on worker count (unlike "stop after K completions").
-    const std::set<std::uint64_t> done = completed_shards(writer.path(), spec);
+    const std::string hash = fleet_spec_hash(spec);
+    const std::set<std::string> done = xp::completed_job_ids(writer.path(), hash);
     std::vector<std::uint64_t> pending;
     for (std::uint64_t s = 0; s < stats.total_shards; ++s) {
-        if (done.count(s) == 0) pending.push_back(s);
+        if (done.count(shard_job_id(hash, s)) == 0) pending.push_back(s);
     }
     stats.skipped = stats.total_shards - pending.size();
     // A max_shards cut is a clean quota, not an interruption: the caller
@@ -246,14 +225,26 @@ FleetRunStats run_fleet_campaign(const Population& population,
     }
 
     const core::WorkPool pool(pending.size(), options.workers, options.stop);
-    const int workers = pool.workers();
-    const std::string hash = fleet_spec_hash(spec);
+    // What every record of this run shares, host stamp included.
+    ShardRecord run_record;
+    run_record.spec_name = spec.name;
+    run_record.spec_hash = hash;
+    run_record.workers = pool.workers();
+    run_record.key_bits = spec.key_bits;
+    run_record.trials = spec.trials;
+    run_record.majority_wins = spec.majority_wins;
+    run_record.base_seed = spec.base_seed;
+    xp::stamp_host(run_record);
     // Records reach the writer in `pending` order no matter which worker
     // finishes first, so the bytes on disk are schedule-independent.
-    core::OrderedCommitter<ShardOutcome> committer([&](ShardOutcome& o) {
-        fold(stats, o, spec.trials);
+    core::OrderedCommitter<ShardRecord> committer([&](ShardRecord& o) {
+        if (o.failed()) {
+            ++stats.failed;
+        } else {
+            fold(stats, o);
+        }
         try {
-            writer.append_line(shard_record_line(spec, hash, o, workers));
+            writer.append_line(shard_record_line(o));
         } catch (const std::exception&) {
             // Store fault (injected or real): the record is lost, the
             // shard stays incomplete on disk, resume re-runs it. The
@@ -261,41 +252,45 @@ FleetRunStats run_fleet_campaign(const Population& population,
             ++stats.store_faults;
         }
     });
-    std::vector<std::vector<std::vector<double>>> scratch(static_cast<std::size_t>(workers));
+    std::vector<std::vector<std::vector<double>>> scratch(
+        static_cast<std::size_t>(pool.workers()));
 
     stats.stopped = pool.run([&](std::size_t i, int w) {
-        const std::uint64_t shard = pending[i];
+        ShardRecord o = run_record;
+        o.shard = pending[i];
+        o.job_id = shard_job_id(hash, o.shard);
+        o.device_first = o.shard * kShardDevices;
+        o.device_count = std::min<std::uint64_t>(kShardDevices, spec.devices - o.device_first);
         const auto t0 = std::chrono::steady_clock::now();
-        ShardOutcome o;
         const std::optional<core::JobError> error = core::run_attempt(
-            options.injector, static_cast<int>(shard), /*attempt=*/1, /*timeout_ms=*/0.0,
+            options.injector, static_cast<int>(o.shard), o.attempts, /*timeout_ms=*/0.0,
             [&](core::Deadline) {
                 std::string shard_args;
                 if (obs::trace() != nullptr) {
-                    shard_args = "{\"shard\":" + std::to_string(shard) + "}";
+                    shard_args = "{\"shard\":" + std::to_string(o.shard) + "}";
                 }
                 const obs::Span shard_span("fleet.shard", std::move(shard_args));
-                o = run_shard(population, enrollment, shard,
-                              scratch[static_cast<std::size_t>(w)]);
+                run_shard(population, enrollment, o, scratch[static_cast<std::size_t>(w)]);
             });
+        o.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
         if (!error) {
+            o.trial_wall_ms_sum = o.wall_ms;
+            if (o.wall_ms > 0.0) {
+                o.measurements_per_s = static_cast<double>(o.measurements) * 1e3 / o.wall_ms;
+            }
             ROPUF_OBS_COUNT("xp.jobs_done", 1);
             ROPUF_OBS_COUNT("fleet.shards_done", 1);
             ROPUF_OBS_COUNT("fleet.devices_done", o.device_count);
             ROPUF_OBS_COUNT("campaign.trials",
                             static_cast<double>(o.device_count) * spec.trials);
         } else {
-            o.shard = shard;
-            o.device_first = shard * kShardDevices;
-            o.device_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                kShardDevices, spec.devices - o.device_first));
-            o.failed = true;
-            o.error = *error;
-            core::note_quarantined(o.error);
+            o.outcome = "job_failed";
+            o.error_class = std::string(core::job_error_class_name(error->cls));
+            o.error_message = error->message;
+            core::note_quarantined(*error);
         }
-        o.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
         committer.commit(i, std::move(o));
     });
     return stats;

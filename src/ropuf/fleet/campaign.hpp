@@ -28,11 +28,18 @@
 // faulted shard writes a quarantine record (`outcome:"job_failed"`) and
 // resume retries it; SIGINT stops dispatch between shards and the run
 // remains resumable.
+//
+// Records
+// -------
+// A shard record is an xp record (xp/result_store.hpp) with a shard body:
+// xp's identity keys, the shard's deterministic aggregates, then xp's
+// timing/fault/obs tail. xp's reader, deterministic prefix, resume skip
+// set (completed_job_ids on shard_job_id) and salvage warning therefore
+// apply unchanged, and `ropuf report` reads a campaign's file.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,16 +88,42 @@ struct FleetRunStats {
     bool stopped = false;
 };
 
+/// One shard's record: the xp envelope plus the shard body. Quarantine
+/// records carry shard, device_first and device_count only.
+struct ShardRecord : xp::RecordEnvelope {
+    std::uint64_t shard = 0;
+    std::uint64_t device_first = 0;
+    std::uint64_t device_count = 0;
+    std::uint64_t key_bits = 0;
+    std::uint64_t trials = 0; ///< per device
+    std::uint64_t majority_wins = 0;
+    std::uint64_t base_seed = 0;
+    std::uint64_t devices_ok = 0;
+    std::uint64_t trials_ok = 0;
+    std::uint64_t bit_errors = 0;
+    std::vector<std::uint64_t> success_hist; ///< trials + 1 bins
+    std::uint64_t measurements = 0;
+};
+
 /// Shards of a population: ceil(devices / kShardDevices).
 std::uint64_t shard_count(const Population& population);
 
 /// The JSONL job id of shard s: "<spec_hash>-s<%05d>".
-std::string shard_job_id(const FleetSpec& spec, std::uint64_t shard);
+std::string shard_job_id(const std::string& spec_hash, std::uint64_t shard);
 
-/// Shard ids already completed (outcome "ok") in a results file for this
-/// spec — the resume skip set. Missing file = empty set. Torn lines and
-/// quarantine records are ignored exactly like xp::completed_job_ids.
-std::set<std::uint64_t> completed_shards(const std::string& path, const FleetSpec& spec);
+/// The record line: xp's identity keys, the shard body, xp's host tail.
+std::string shard_record_line(const ShardRecord& record);
+
+/// A parsed shard line back; std::logic_error when it is not one.
+ShardRecord decode_shard_record(const xp::JsonValue& doc);
+
+/// What a results file adds up to: the last record of each shard wins (a
+/// resumed shard's ok record supersedes its quarantine), ok ones folded,
+/// failed ones counted. Equals the FleetRunStats of the run that wrote it.
+FleetRunStats read_campaign_results(const std::string& path, xp::ReadStats* stats = nullptr);
+
+/// The `population: …` line `fleet campaign` and `report` print.
+std::string population_summary(const FleetRunStats& stats);
 
 /// Runs (or resumes) the campaign, appending one record per shard to
 /// `writer`. Throws xp::SpecError on setup errors (store/spec mismatch).

@@ -1,12 +1,9 @@
 #include "ropuf/fleet/spec.hpp"
 
-#include <cctype>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <set>
-#include <sstream>
 #include <string>
+#include <tuple>
 
 #include "ropuf/xp/sweep_spec.hpp"
 
@@ -15,50 +12,6 @@ namespace ropuf::fleet {
 using xp::SpecError;
 
 namespace {
-
-std::string_view trim(std::string_view s) {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
-    return s;
-}
-
-std::uint64_t parse_u64(std::string_view v, std::string_view key, int line) {
-    std::uint64_t out = 0;
-    if (v.empty()) throw SpecError("empty value for " + std::string(key), line);
-    for (char c : v) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-            throw SpecError("invalid integer for " + std::string(key) + ": " + std::string(v),
-                            line);
-        }
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return out;
-}
-
-int parse_int(std::string_view v, std::string_view key, int line) {
-    const std::uint64_t u = parse_u64(v, key, line);
-    if (u > 1u << 30) throw SpecError("value out of range for " + std::string(key), line);
-    return static_cast<int>(u);
-}
-
-double parse_double(std::string_view v, std::string_view key, int line) {
-    const std::string s(v);
-    char* end = nullptr;
-    const double d = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0' || !(d >= 0.0)) {
-        throw SpecError("invalid number for " + std::string(key) + ": " + s, line);
-    }
-    return d;
-}
-
-void parse_geometry(std::string_view v, FleetSpec& spec, int line) {
-    const std::size_t x = v.find('x');
-    if (x == std::string_view::npos) {
-        throw SpecError("geometry must be CxR, got: " + std::string(v), line);
-    }
-    spec.cols = parse_int(trim(v.substr(0, x)), "geometry", line);
-    spec.rows = parse_int(trim(v.substr(x + 1)), "geometry", line);
-}
 
 void append_double(std::string& out, std::string_view key, double v) {
     char buf[40];
@@ -76,9 +29,7 @@ void validate(const FleetSpec& spec) {
     if (spec.wafer_cols == 0 || spec.wafer_size % spec.wafer_cols != 0) {
         throw SpecError("wafer_size must be a positive multiple of wafer_cols");
     }
-    if (spec.cols <= 0 || spec.rows <= 0 || spec.ro_count() > 65535) {
-        throw SpecError("geometry must be positive and fit u16 RO indices");
-    }
+    if (spec.ro_count() > 65535) throw SpecError("geometry must fit u16 RO indices");
     if (spec.key_bits <= 0 || spec.key_bits > spec.ro_count() / 2) {
         throw SpecError("key_bits must be in [1, geometry count / 2] — each bit "
                         "consumes one disjoint RO pair");
@@ -94,61 +45,52 @@ void validate(const FleetSpec& spec) {
 } // namespace
 
 FleetSpec parse_fleet_spec(std::string_view text) {
+    // Per-key dispatch only: the line grammar and the scalar parsers are
+    // xp's (xp/sweep_spec.hpp), shared with sweep specs.
     FleetSpec spec;
-    std::set<std::string> seen;
-    int line_no = 0;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        std::string_view line = text.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                                               : eol - pos);
-        pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-        ++line_no;
-        if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
-            line = line.substr(0, hash);
-        }
-        line = trim(line);
-        if (line.empty()) continue;
-        const std::size_t eq = line.find('=');
-        if (eq == std::string_view::npos) {
-            throw SpecError("expected key = value, got: " + std::string(line), line_no);
-        }
-        const std::string key(trim(line.substr(0, eq)));
-        const std::string_view value = trim(line.substr(eq + 1));
-        if (!seen.insert(key).second) throw SpecError("duplicate key: " + key, line_no);
-
+    for (const xp::SpecLine& entry : xp::read_spec_lines(text)) {
+        const std::string& key = entry.key;
+        const std::string_view value = entry.value;
+        const int line = entry.line;
+        const auto count = [&] { return static_cast<int>(xp::parse_int(value, 0, 1 << 30, line)); };
+        const auto u32 = [&] {
+            return static_cast<std::uint32_t>(xp::parse_int(value, 0, UINT32_MAX, line));
+        };
+        const auto sigma = [&] { return xp::parse_double(value, line, /*non_negative=*/true); };
         if (key == "name") {
-            spec.name = std::string(value);
+            spec.name = entry.value;
         } else if (key == "devices") {
-            spec.devices = parse_u64(value, key, line_no);
+            spec.devices = xp::parse_u64(value, line);
         } else if (key == "wafer_size") {
-            spec.wafer_size = static_cast<std::uint32_t>(parse_u64(value, key, line_no));
+            spec.wafer_size = u32();
         } else if (key == "wafer_cols") {
-            spec.wafer_cols = static_cast<std::uint32_t>(parse_u64(value, key, line_no));
+            spec.wafer_cols = u32();
         } else if (key == "geometry") {
-            parse_geometry(value, spec, line_no);
+            // Sides up to 2^15 keep cols * rows inside int; validate() then
+            // holds the product to u16 RO indices.
+            std::tie(spec.cols, spec.rows) = xp::parse_geometry(value, 1 << 15, line);
         } else if (key == "key_bits") {
-            spec.key_bits = parse_int(value, key, line_no);
+            spec.key_bits = count();
         } else if (key == "enroll_samples") {
-            spec.enroll_samples = parse_int(value, key, line_no);
+            spec.enroll_samples = count();
         } else if (key == "majority_wins") {
-            spec.majority_wins = parse_int(value, key, line_no);
+            spec.majority_wins = count();
         } else if (key == "trials") {
-            spec.trials = parse_int(value, key, line_no);
+            spec.trials = count();
         } else if (key == "sigma_noise_mhz") {
-            spec.sigma_noise_mhz = parse_double(value, key, line_no);
+            spec.sigma_noise_mhz = sigma();
         } else if (key == "wafer_grad_sigma_mhz") {
-            spec.wafer_grad_sigma_mhz = parse_double(value, key, line_no);
+            spec.wafer_grad_sigma_mhz = sigma();
         } else if (key == "die_grad_sigma_mhz") {
-            spec.die_grad_sigma_mhz = parse_double(value, key, line_no);
+            spec.die_grad_sigma_mhz = sigma();
         } else if (key == "wafer_f_sigma_mhz") {
-            spec.wafer_f_sigma_mhz = parse_double(value, key, line_no);
+            spec.wafer_f_sigma_mhz = sigma();
         } else if (key == "die_f_sigma_mhz") {
-            spec.die_f_sigma_mhz = parse_double(value, key, line_no);
+            spec.die_f_sigma_mhz = sigma();
         } else if (key == "base_seed") {
-            spec.base_seed = parse_u64(value, key, line_no);
+            spec.base_seed = xp::parse_u64(value, line);
         } else {
-            throw SpecError("unknown fleet spec key: " + key, line_no);
+            throw SpecError("unknown fleet spec key: " + key, line);
         }
     }
     validate(spec);
@@ -156,11 +98,7 @@ FleetSpec parse_fleet_spec(std::string_view text) {
 }
 
 FleetSpec load_fleet_spec_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw SpecError("cannot read fleet spec file: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse_fleet_spec(buf.str());
+    return parse_fleet_spec(xp::read_spec_file(path));
 }
 
 std::string canonical_text(const FleetSpec& spec) {

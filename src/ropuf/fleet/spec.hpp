@@ -68,11 +68,11 @@ struct FleetSpec {
     }
 };
 
-/// Parses fleet-spec text (line-based `key = value`, `#` comments). Throws
-/// xp::SpecError on unknown/duplicate keys, malformed values, or
-/// constraint violations (devices == 0, even majority_wins, key_bits
-/// exceeding the disjoint-pair budget, wafer_size not a multiple of
-/// wafer_cols, ...).
+/// Parses fleet-spec text with xp's spec line reader and scalar parsers.
+/// Throws xp::SpecError on unknown/duplicate keys, malformed or
+/// out-of-range values, or constraint violations (devices == 0, even
+/// majority_wins, key_bits exceeding the disjoint-pair budget, wafer_size
+/// not a multiple of wafer_cols, ...).
 FleetSpec parse_fleet_spec(std::string_view text);
 
 /// Reads and parses a spec file; throws xp::SpecError when unreadable.

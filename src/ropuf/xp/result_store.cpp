@@ -55,6 +55,11 @@ core::MetricSummary metric_from(const JsonValue& parent, std::string_view key) {
 
 } // namespace
 
+void stamp_host(RecordEnvelope& record) {
+    record.simd = simd::path_name(simd::active_path());
+    record.hardware_concurrency = static_cast<int>(std::thread::hardware_concurrency());
+}
+
 JobRecord make_record(const Plan& plan, const Job& job, const core::CampaignSummary& summary) {
     JobRecord record;
     record.spec_name = plan.spec_name;
@@ -77,25 +82,14 @@ JobRecord make_record(const Plan& plan, const Job& job, const core::CampaignSumm
     record.wall_ms = summary.wall_ms;
     record.trial_wall_ms_sum = summary.trial_wall_ms_sum;
     record.measurements_per_s = summary.measurements_per_s;
-    record.simd = simd::path_name(simd::active_path());
-    record.hardware_concurrency = static_cast<int>(std::thread::hardware_concurrency());
+    stamp_host(record);
     return record;
 }
 
 JobRecord make_failed_record(const Plan& plan, const Job& job, const core::JobError& error,
                              int attempts) {
-    JobRecord record;
-    record.spec_name = plan.spec_name;
-    record.spec_hash = plan.hash;
-    record.job_id = job.id;
-    record.index = job.index;
-    record.scenario = job.scenario;
-    record.params = job.params;
-    record.trials = job.trials;
-    record.root_seed = job.root_seed;
-    record.campaign_seed = job.campaign_seed;
-    record.simd = simd::path_name(simd::active_path());
-    record.hardware_concurrency = static_cast<int>(std::thread::hardware_concurrency());
+    // Identity and point of a job that produced nothing: an empty summary.
+    JobRecord record = make_record(plan, job, core::CampaignSummary{});
     record.outcome = "job_failed";
     record.attempts = attempts;
     record.error_class = std::string(core::job_error_class_name(error.cls));
@@ -103,56 +97,17 @@ JobRecord make_failed_record(const Plan& plan, const Job& job, const core::JobEr
     return record;
 }
 
-std::string to_jsonl(const JobRecord& r) {
-    std::string out = "{\"v\":1,\"spec\":\"";
+void append_identity(std::string& out, const RecordEnvelope& r) {
+    out += "\"spec\":\"";
     core::append_json_escaped(out, r.spec_name);
     out += "\",\"spec_hash\":\"";
     core::append_json_escaped(out, r.spec_hash);
     out += "\",\"job\":\"";
     core::append_json_escaped(out, r.job_id);
-    out += "\",\"index\":" + std::to_string(r.index);
-    out += ",\"scenario\":\"";
-    core::append_json_escaped(out, r.scenario);
     out += '"';
-    // Quarantined jobs carry their verdict up front (identity-adjacent, part
-    // of the deterministic prefix) so readers can drop them without looking
-    // at the side-fields; successful records spell nothing extra.
-    if (r.failed()) out += ",\"outcome\":\"job_failed\"";
-    out += ",\"point\":{\"cols\":" + std::to_string(r.params.cols);
-    out += ",\"rows\":" + std::to_string(r.params.rows);
-    out += ",\"sigma_noise_mhz\":";
-    append_number(out, r.params.sigma_noise_mhz);
-    out += ",\"ambient_c\":";
-    append_number(out, r.params.ambient_c);
-    out += ",\"majority_wins\":" + std::to_string(r.params.majority_wins);
-    out += ",\"ecc_m\":" + std::to_string(r.params.ecc_m);
-    out += ",\"ecc_t\":" + std::to_string(r.params.ecc_t);
-    out += ",\"query_budget\":" + std::to_string(r.params.query_budget);
-    out += ",\"defense\":\"";
-    core::append_json_escaped(out, r.params.defense.empty() ? "none" : r.params.defense);
-    out += '"';
-    out += ",\"trials\":" + std::to_string(r.trials);
-    out += ",\"root_seed\":" + std::to_string(r.root_seed);
-    out += ",\"campaign_seed\":" + std::to_string(r.campaign_seed);
-    out += '}';
-    if (!r.failed()) {
-        out += ",\"result\":{\"key_recovered_count\":" + std::to_string(r.key_recovered_count);
-        out += ",\"success_rate\":";
-        append_number(out, r.success_rate);
-        out += ",\"mean_accuracy\":";
-        append_number(out, r.mean_accuracy);
-        out += ",\"outcomes\":{\"recovered\":" + std::to_string(r.outcomes.recovered);
-        out += ",\"gave_up\":" + std::to_string(r.outcomes.gave_up);
-        out += ",\"budget_exhausted\":" + std::to_string(r.outcomes.budget_exhausted);
-        out += ",\"refused_by_defense\":" + std::to_string(r.outcomes.refused_by_defense);
-        out += ",\"locked_out\":" + std::to_string(r.outcomes.locked_out);
-        out += "},\"total_measurements\":" + std::to_string(r.total_measurements);
-        out += ',';
-        append_metric(out, "queries", r.queries);
-        out += ',';
-        append_metric(out, "measurements", r.measurements);
-        out += '}';
-    }
+}
+
+void append_host_tail(std::string& out, const RecordEnvelope& r) {
     // Host-bound fields last, in one key, so deterministic_prefix() can
     // split records without parsing.
     out += kTimingKey;
@@ -217,6 +172,55 @@ std::string to_jsonl(const JobRecord& r) {
         }
         out += "}}";
     }
+}
+
+std::string to_jsonl(const JobRecord& r) {
+    std::string out = "{\"v\":1,";
+    append_identity(out, r);
+    out += ",\"index\":" + std::to_string(r.index);
+    out += ",\"scenario\":\"";
+    core::append_json_escaped(out, r.scenario);
+    out += '"';
+    // Quarantined jobs carry their verdict up front (identity-adjacent, part
+    // of the deterministic prefix) so readers can drop them without looking
+    // at the side-fields; successful records spell nothing extra.
+    if (r.failed()) out += ",\"outcome\":\"job_failed\"";
+    out += ",\"point\":{\"cols\":" + std::to_string(r.params.cols);
+    out += ",\"rows\":" + std::to_string(r.params.rows);
+    out += ",\"sigma_noise_mhz\":";
+    append_number(out, r.params.sigma_noise_mhz);
+    out += ",\"ambient_c\":";
+    append_number(out, r.params.ambient_c);
+    out += ",\"majority_wins\":" + std::to_string(r.params.majority_wins);
+    out += ",\"ecc_m\":" + std::to_string(r.params.ecc_m);
+    out += ",\"ecc_t\":" + std::to_string(r.params.ecc_t);
+    out += ",\"query_budget\":" + std::to_string(r.params.query_budget);
+    out += ",\"defense\":\"";
+    core::append_json_escaped(out, r.params.defense.empty() ? "none" : r.params.defense);
+    out += '"';
+    out += ",\"trials\":" + std::to_string(r.trials);
+    out += ",\"root_seed\":" + std::to_string(r.root_seed);
+    out += ",\"campaign_seed\":" + std::to_string(r.campaign_seed);
+    out += '}';
+    if (!r.failed()) {
+        out += ",\"result\":{\"key_recovered_count\":" + std::to_string(r.key_recovered_count);
+        out += ",\"success_rate\":";
+        append_number(out, r.success_rate);
+        out += ",\"mean_accuracy\":";
+        append_number(out, r.mean_accuracy);
+        out += ",\"outcomes\":{\"recovered\":" + std::to_string(r.outcomes.recovered);
+        out += ",\"gave_up\":" + std::to_string(r.outcomes.gave_up);
+        out += ",\"budget_exhausted\":" + std::to_string(r.outcomes.budget_exhausted);
+        out += ",\"refused_by_defense\":" + std::to_string(r.outcomes.refused_by_defense);
+        out += ",\"locked_out\":" + std::to_string(r.outcomes.locked_out);
+        out += "},\"total_measurements\":" + std::to_string(r.total_measurements);
+        out += ',';
+        append_metric(out, "queries", r.queries);
+        out += ',';
+        append_metric(out, "measurements", r.measurements);
+        out += '}';
+    }
+    append_host_tail(out, r);
     out += '}';
     return out;
 }
@@ -226,54 +230,13 @@ std::string_view deterministic_prefix(std::string_view line) {
     return pos == std::string_view::npos ? line : line.substr(0, pos);
 }
 
-JobRecord parse_record(std::string_view line) {
-    const JsonValue doc = parse_json(line);
+void decode_envelope(const JsonValue& doc, RecordEnvelope& r) {
     if (!doc.is_object()) throw std::logic_error("record line is not a JSON object");
-    JobRecord r;
     r.spec_name = doc.string_or("spec", "");
     r.spec_hash = doc.string_or("spec_hash", "");
     r.job_id = doc.string_or("job", "");
-    r.index = static_cast<int>(doc.number_or("index", 0));
-    r.scenario = doc.string_or("scenario", "");
-    if (r.job_id.empty() || r.scenario.empty()) {
-        throw std::logic_error("record line is missing its identity fields");
-    }
+    if (r.job_id.empty()) throw std::logic_error("record line is missing its job id");
     r.outcome = doc.string_or("outcome", "ok");
-    if (const JsonValue* point = doc.find("point"); point != nullptr && point->is_object()) {
-        r.params.cols = static_cast<int>(point->number_or("cols", 0));
-        r.params.rows = static_cast<int>(point->number_or("rows", 0));
-        r.params.sigma_noise_mhz = point->number_or("sigma_noise_mhz", -1.0);
-        r.params.ambient_c = point->number_or("ambient_c", 25.0);
-        r.params.majority_wins = static_cast<int>(point->number_or("majority_wins", 0));
-        r.params.ecc_m = static_cast<int>(point->number_or("ecc_m", 0));
-        r.params.ecc_t = static_cast<int>(point->number_or("ecc_t", 0));
-        r.params.query_budget =
-            static_cast<std::int64_t>(point->number_or("query_budget", 0));
-        r.params.defense = point->string_or("defense", "none");
-        r.trials = static_cast<int>(point->number_or("trials", 0));
-        // Seeds are full 64-bit values: the double path would corrupt them
-        // above 2^53, so read them through the exact-literal accessors.
-        r.root_seed = point->u64_or("root_seed", 0);
-        r.campaign_seed = point->u64_or("campaign_seed", 0);
-    }
-    if (const JsonValue* result = doc.find("result"); result != nullptr && result->is_object()) {
-        r.key_recovered_count = static_cast<int>(result->number_or("key_recovered_count", 0));
-        r.success_rate = result->number_or("success_rate", 0.0);
-        r.mean_accuracy = result->number_or("mean_accuracy", 0.0);
-        if (const JsonValue* outcomes = result->find("outcomes");
-            outcomes != nullptr && outcomes->is_object()) {
-            r.outcomes.recovered = static_cast<int>(outcomes->number_or("recovered", 0));
-            r.outcomes.gave_up = static_cast<int>(outcomes->number_or("gave_up", 0));
-            r.outcomes.budget_exhausted =
-                static_cast<int>(outcomes->number_or("budget_exhausted", 0));
-            r.outcomes.refused_by_defense =
-                static_cast<int>(outcomes->number_or("refused_by_defense", 0));
-            r.outcomes.locked_out = static_cast<int>(outcomes->number_or("locked_out", 0));
-        }
-        r.total_measurements = result->i64_or("total_measurements", 0);
-        r.queries = metric_from(*result, "queries");
-        r.measurements = metric_from(*result, "measurements");
-    }
     if (const JsonValue* timing = doc.find("timing"); timing != nullptr && timing->is_object()) {
         r.workers = static_cast<int>(timing->number_or("workers", 0));
         r.wall_ms = timing->number_or("wall_ms", 0.0);
@@ -313,13 +276,63 @@ JobRecord parse_record(std::string_view line) {
             }
         }
     }
+}
+
+namespace {
+
+/// The envelope, then the xp body when the line has one (a fleet shard
+/// line keeps the defaults: an empty scenario, no point, no result).
+JobRecord decode_record(const JsonValue& doc) {
+    JobRecord r;
+    decode_envelope(doc, r);
+    r.index = static_cast<int>(doc.number_or("index", 0));
+    r.scenario = doc.string_or("scenario", "");
+    if (const JsonValue* point = doc.find("point"); point != nullptr && point->is_object()) {
+        r.params.cols = static_cast<int>(point->number_or("cols", 0));
+        r.params.rows = static_cast<int>(point->number_or("rows", 0));
+        r.params.sigma_noise_mhz = point->number_or("sigma_noise_mhz", -1.0);
+        r.params.ambient_c = point->number_or("ambient_c", 25.0);
+        r.params.majority_wins = static_cast<int>(point->number_or("majority_wins", 0));
+        r.params.ecc_m = static_cast<int>(point->number_or("ecc_m", 0));
+        r.params.ecc_t = static_cast<int>(point->number_or("ecc_t", 0));
+        r.params.query_budget =
+            static_cast<std::int64_t>(point->number_or("query_budget", 0));
+        r.params.defense = point->string_or("defense", "none");
+        r.trials = static_cast<int>(point->number_or("trials", 0));
+        // Seeds are full 64-bit values: the double path would corrupt them
+        // above 2^53, so read them through the exact-literal accessors.
+        r.root_seed = point->u64_or("root_seed", 0);
+        r.campaign_seed = point->u64_or("campaign_seed", 0);
+    }
+    if (const JsonValue* result = doc.find("result"); result != nullptr && result->is_object()) {
+        r.key_recovered_count = static_cast<int>(result->number_or("key_recovered_count", 0));
+        r.success_rate = result->number_or("success_rate", 0.0);
+        r.mean_accuracy = result->number_or("mean_accuracy", 0.0);
+        if (const JsonValue* outcomes = result->find("outcomes");
+            outcomes != nullptr && outcomes->is_object()) {
+            r.outcomes.recovered = static_cast<int>(outcomes->number_or("recovered", 0));
+            r.outcomes.gave_up = static_cast<int>(outcomes->number_or("gave_up", 0));
+            r.outcomes.budget_exhausted =
+                static_cast<int>(outcomes->number_or("budget_exhausted", 0));
+            r.outcomes.refused_by_defense =
+                static_cast<int>(outcomes->number_or("refused_by_defense", 0));
+            r.outcomes.locked_out = static_cast<int>(outcomes->number_or("locked_out", 0));
+        }
+        r.total_measurements = result->i64_or("total_measurements", 0);
+        r.queries = metric_from(*result, "queries");
+        r.measurements = metric_from(*result, "measurements");
+    }
     return r;
 }
 
-std::vector<JobRecord> read_results(const std::string& path, ReadStats* stats) {
+} // namespace
+
+JobRecord parse_record(std::string_view line) { return decode_record(parse_json(line)); }
+
+void read_record_lines(const std::string& path,
+                       const std::function<void(const JsonValue&)>& decode, ReadStats* stats) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw SpecError("cannot read results file: " + path);
-    std::vector<JobRecord> records;
     ReadStats local;
     long long consumed = 0;
     std::string line;
@@ -329,13 +342,19 @@ std::vector<JobRecord> read_results(const std::string& path, ReadStats* stats) {
         consumed += static_cast<long long>(line.size()) + (in.eof() ? 0 : 1);
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
         try {
-            records.push_back(parse_record(line));
+            decode(parse_json(line));
             local.last_good_offset = consumed;
         } catch (const std::exception&) {
             ++local.skipped_lines; // a crash's torn tail (or garbage): skip, count
         }
     }
     if (stats != nullptr) *stats = local;
+}
+
+std::vector<JobRecord> read_results(const std::string& path, ReadStats* stats) {
+    std::vector<JobRecord> records;
+    read_record_lines(
+        path, [&](const JsonValue& doc) { records.push_back(decode_record(doc)); }, stats);
     return records;
 }
 

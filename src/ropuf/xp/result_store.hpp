@@ -34,6 +34,11 @@
 // comparison; obs-off runs emit no obs key at all, so pre-obs records (and
 // the golden files) stay byte-identical.
 //
+// Fleet shard records (fleet/campaign.hpp) share the envelope: the same
+// identity keys open them and the same timing/fault/obs tail closes them;
+// only the deterministic body between differs. One reader, one resume skip
+// set and one salvage warning therefore serve both kinds.
+//
 // Crash safety: the writer appends one flushed line per record, so a killed
 // run loses at most its in-flight job; the reader skips unparseable lines
 // (the torn tail of a crash) instead of failing, and resume re-runs exactly
@@ -41,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -49,6 +55,7 @@
 
 #include "ropuf/core/campaign.hpp"
 #include "ropuf/core/errors.hpp"
+#include "ropuf/xp/json.hpp"
 #include "ropuf/xp/planner.hpp"
 
 namespace ropuf::fi {
@@ -77,12 +84,33 @@ struct ObsData {
     std::map<std::string, ObsHistSummary> hists;    ///< histograms with samples
 };
 
-/// One JSONL record: a job identity plus its campaign outcome.
-struct JobRecord {
+/// What every record carries, xp job and fleet shard alike: identity up
+/// front, the host-bound side-keys last.
+struct RecordEnvelope {
     // identity
     std::string spec_name;
     std::string spec_hash;
     std::string job_id;
+    std::string outcome = "ok";   ///< "ok" | "job_failed" (quarantined)
+    // timing (host-bound, non-deterministic)
+    int workers = 0;
+    double wall_ms = 0.0;
+    double trial_wall_ms_sum = 0.0;
+    double measurements_per_s = 0.0;
+    std::string simd;             ///< kernel dispatch path the run executed on
+    int hardware_concurrency = 0; ///< host CPU count at record time
+    // fault tolerance (host-bound side-fields, excluded like timing)
+    int attempts = 1;             ///< attempts spent on this job
+    std::string error_class;      ///< job_failed only: taxonomy class name
+    std::string error_message;    ///< job_failed only: captured message
+    // observability (host-bound side-key, excluded like timing/fault)
+    ObsData obs;
+
+    bool failed() const { return outcome == "job_failed"; }
+};
+
+/// One xp job record: the envelope plus a job's point and campaign outcome.
+struct JobRecord : RecordEnvelope {
     int index = 0;
     std::string scenario;
     // point
@@ -98,23 +126,21 @@ struct JobRecord {
     std::int64_t total_measurements = 0;
     core::MetricSummary queries;
     core::MetricSummary measurements;
-    // timing (host-bound, non-deterministic)
-    int workers = 0;
-    double wall_ms = 0.0;
-    double trial_wall_ms_sum = 0.0;
-    double measurements_per_s = 0.0;
-    std::string simd;             ///< kernel dispatch path the run executed on
-    int hardware_concurrency = 0; ///< host CPU count at record time
-    // fault tolerance (host-bound side-fields, excluded like timing)
-    std::string outcome = "ok";   ///< "ok" | "job_failed" (quarantined)
-    int attempts = 1;             ///< executor attempts spent on this job
-    std::string error_class;      ///< job_failed only: taxonomy class name
-    std::string error_message;    ///< job_failed only: captured message
-    // observability (host-bound side-key, excluded like timing/fault)
-    ObsData obs;
-
-    bool failed() const { return outcome == "job_failed"; }
 };
+
+/// Sets the timing key's host fields: SIMD path and hardware concurrency.
+void stamp_host(RecordEnvelope& record);
+
+/// Appends `"spec":…,"spec_hash":…,"job":…`, the keys every record opens with.
+void append_identity(std::string& out, const RecordEnvelope& record);
+
+/// Appends the tail every record ends with: `,"timing":{…}`, `,"fault":{…}`
+/// if retried or quarantined, `,"obs":{…}` if present. The caller closes it.
+void append_host_tail(std::string& out, const RecordEnvelope& record);
+
+/// Reads the envelope of either record kind; std::logic_error when the
+/// line is not an object or has no job id.
+void decode_envelope(const JsonValue& doc, RecordEnvelope& record);
 
 /// Builds the record for one finished job.
 JobRecord make_record(const Plan& plan, const Job& job, const core::CampaignSummary& summary);
@@ -134,7 +160,8 @@ std::string to_jsonl(const JobRecord& record);
 std::string_view deterministic_prefix(std::string_view line);
 
 /// Parses one JSONL line; throws JsonError/std::logic_error on malformed
-/// input (readers that must tolerate torn lines catch per line).
+/// input (readers that must tolerate torn lines catch per line). A fleet
+/// shard line yields its envelope and an empty scenario.
 JobRecord parse_record(std::string_view line);
 
 /// What the reader saw besides the parseable records. skipped_lines counts
@@ -151,14 +178,21 @@ struct ReadStats {
 /// truncate). Empty when nothing was skipped.
 std::string salvage_warning(const ReadStats& stats);
 
-/// Every parseable record of a results file, in file order. Unparseable
-/// lines are counted into `*stats` (crash tails), never fatal. Throws
-/// SpecError when the file cannot be opened.
+/// Hands each non-blank line of a results file, parsed, to `decode`. A line
+/// that does not parse or that `decode` throws on is counted into `*stats`
+/// (crash tails), never fatal. Throws SpecError when the file cannot be
+/// opened.
+void read_record_lines(const std::string& path,
+                       const std::function<void(const JsonValue&)>& decode,
+                       ReadStats* stats = nullptr);
+
+/// Every parseable record of a results file, in file order.
 std::vector<JobRecord> read_results(const std::string& path, ReadStats* stats = nullptr);
 
-/// The job IDs already completed for `spec_hash` — the resume skip set.
-/// Quarantined (`outcome=job_failed`) records do not count: resume retries
-/// them. A missing file is an empty set (fresh run), not an error.
+/// The job IDs already completed for `spec_hash` — the resume skip set of
+/// xp runs and fleet campaigns. Quarantined (`outcome=job_failed`) records
+/// do not count: resume retries them. A missing file is an empty set (fresh
+/// run), not an error.
 std::set<std::string> completed_job_ids(const std::string& path, std::string_view spec_hash);
 
 /// Append-only writer: one flushed line per record.
@@ -181,9 +215,9 @@ public:
 
     /// Appends one flushed pre-serialized JSONL line (no trailing newline).
     /// Same fault seam, torn-tail bookkeeping and error contract as
-    /// append() — this is the raw unit append() is built on, exposed so
-    /// other layers (fleet campaign shards) can share the writer's
-    /// crash-safety semantics for their own record schemas.
+    /// append() — the raw unit append() is built on. Fleet shard records
+    /// come through here: their body is fleet's, their envelope this
+    /// file's (append_identity, append_host_tail).
     void append_line(const std::string& json_line);
     const std::string& path() const { return path_; }
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "ropuf/core/attack_engine.hpp"
@@ -41,36 +42,6 @@ std::vector<std::string> split_list(std::string_view value) {
     return items;
 }
 
-double parse_double_token(const std::string& token, int line) {
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || token.empty()) {
-        throw SpecError("not a number: '" + token + "'", line);
-    }
-    return v;
-}
-
-long long parse_int_token(const std::string& token, int line) {
-    char* end = nullptr;
-    const long long v = std::strtoll(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || token.empty()) {
-        throw SpecError("not an integer: '" + token + "'", line);
-    }
-    return v;
-}
-
-std::uint64_t parse_u64_token(const std::string& token, int line) {
-    if (!token.empty() && token[0] == '-') {
-        throw SpecError("seed must be non-negative: '" + token + "'", line);
-    }
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || token.empty()) {
-        throw SpecError("not an unsigned integer: '" + token + "'", line);
-    }
-    return v;
-}
-
 /// Splits a `start:stop:step` token; returns false for plain scalars.
 bool split_range(const std::string& token, std::string parts[3], int line) {
     const std::size_t first = token.find(':');
@@ -90,12 +61,12 @@ std::vector<double> parse_double_axis(std::string_view value, int line) {
     for (const auto& token : split_list(value)) {
         std::string parts[3];
         if (!split_range(token, parts, line)) {
-            out.push_back(parse_double_token(token, line));
+            out.push_back(parse_double(token, line));
             continue;
         }
-        const double start = parse_double_token(parts[0], line);
-        const double stop = parse_double_token(parts[1], line);
-        const double step = parse_double_token(parts[2], line);
+        const double start = parse_double(parts[0], line);
+        const double stop = parse_double(parts[1], line);
+        const double step = parse_double(parts[2], line);
         if (step <= 0.0) throw SpecError("range step must be > 0: '" + token + "'", line);
         if (stop < start) throw SpecError("range stop < start: '" + token + "'", line);
         // Count-based expansion: immune to drift accumulating past `stop`.
@@ -106,33 +77,28 @@ std::vector<double> parse_double_axis(std::string_view value, int line) {
     return out;
 }
 
-/// Range-checks before narrowing: an out-of-int value must error, never
-/// silently wrap past the min_allowed validation.
-int checked_int(long long v, int min_allowed, int line) {
-    if (v < min_allowed || v > std::numeric_limits<int>::max()) {
-        throw SpecError("value " + std::to_string(v) + " outside [" +
-                            std::to_string(min_allowed) + ", " +
-                            std::to_string(std::numeric_limits<int>::max()) + "]",
-                        line);
-    }
-    return static_cast<int>(v);
-}
-
+/// Every value lies in [min_allowed, INT_MAX]: start and stop are bounded
+/// before the range expands, so nothing narrows or overflows past them.
 std::vector<int> parse_int_axis(std::string_view value, int line, int min_allowed) {
+    const auto parse = [&](std::string_view token) {
+        return static_cast<int>(
+            parse_int(token, min_allowed, std::numeric_limits<int>::max(), line));
+    };
     std::vector<int> out;
     for (const auto& token : split_list(value)) {
         std::string parts[3];
         if (!split_range(token, parts, line)) {
-            out.push_back(checked_int(parse_int_token(token, line), min_allowed, line));
+            out.push_back(parse(token));
             continue;
         }
-        const long long start = parse_int_token(parts[0], line);
-        const long long stop = parse_int_token(parts[1], line);
-        const long long step = parse_int_token(parts[2], line);
-        if (step <= 0) throw SpecError("range step must be > 0: '" + token + "'", line);
+        const int start = parse(parts[0]);
+        const int stop = parse(parts[1]);
+        const int step = static_cast<int>(
+            parse_int(parts[2], 1, std::numeric_limits<int>::max(), line));
         if (stop < start) throw SpecError("range stop < start: '" + token + "'", line);
-        for (long long v = start; v <= stop; v += step) {
-            out.push_back(checked_int(v, min_allowed, line));
+        for (int v = start;; v += step) {
+            out.push_back(v); // invariant: v <= stop
+            if (stop - v < step) break; // the next value would pass stop (overflow-safe)
         }
     }
     if (out.empty()) throw SpecError("axis expands to zero values", line);
@@ -144,12 +110,12 @@ std::vector<std::uint64_t> parse_seed_axis(std::string_view value, int line) {
     for (const auto& token : split_list(value)) {
         std::string parts[3];
         if (!split_range(token, parts, line)) {
-            out.push_back(parse_u64_token(token, line));
+            out.push_back(parse_u64(token, line));
             continue;
         }
-        const std::uint64_t start = parse_u64_token(parts[0], line);
-        const std::uint64_t stop = parse_u64_token(parts[1], line);
-        const std::uint64_t step = parse_u64_token(parts[2], line);
+        const std::uint64_t start = parse_u64(parts[0], line);
+        const std::uint64_t stop = parse_u64(parts[1], line);
+        const std::uint64_t step = parse_u64(parts[2], line);
         if (step == 0) throw SpecError("range step must be > 0: '" + token + "'", line);
         if (stop < start) throw SpecError("range stop < start: '" + token + "'", line);
         for (std::uint64_t v = start;; v += step) {
@@ -164,13 +130,7 @@ std::vector<std::uint64_t> parse_seed_axis(std::string_view value, int line) {
 std::vector<std::pair<int, int>> parse_geometry_axis(std::string_view value, int line) {
     std::vector<std::pair<int, int>> out;
     for (const auto& token : split_list(value)) {
-        const std::size_t x = token.find('x');
-        if (x == std::string::npos || token.find('x', x + 1) != std::string::npos) {
-            throw SpecError("geometry must be COLSxROWS: '" + token + "'", line);
-        }
-        const int cols = checked_int(parse_int_token(trim(token.substr(0, x)), line), 1, line);
-        const int rows = checked_int(parse_int_token(trim(token.substr(x + 1)), line), 1, line);
-        out.emplace_back(cols, rows);
+        out.push_back(parse_geometry(token, std::numeric_limits<int>::max(), line));
     }
     if (out.empty()) throw SpecError("axis expands to zero values", line);
     return out;
@@ -289,23 +249,8 @@ void validate(const SweepSpec& spec) {
 SweepSpec parse_text_spec(std::string_view text) {
     SweepSpec spec;
     std::vector<std::string> seen;
-    int line_no = 0;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t eol = std::min(text.find('\n', pos), text.size());
-        std::string line(text.substr(pos, eol - pos));
-        pos = eol + 1;
-        ++line_no;
-        const std::size_t comment = line.find('#');
-        if (comment != std::string::npos) line.resize(comment);
-        line = trim(line);
-        if (line.empty()) continue;
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            throw SpecError("expected 'key = value': '" + line + "'", line_no);
-        }
-        apply_key(spec, seen, trim(std::string_view(line).substr(0, eq)),
-                  trim(std::string_view(line).substr(eq + 1)), line_no);
+    for (const SpecLine& entry : read_spec_lines(text)) {
+        apply_key(spec, seen, entry.key, entry.value, entry.line);
     }
     validate(spec);
     return spec;
@@ -381,12 +326,95 @@ SweepSpec parse_spec(std::string_view text) {
     return parse_text_spec(text);
 }
 
-SweepSpec load_spec_file(const std::string& path) {
+SweepSpec load_spec_file(const std::string& path) { return parse_spec(read_spec_file(path)); }
+
+std::vector<SpecLine> read_spec_lines(std::string_view text) {
+    std::vector<SpecLine> lines;
+    std::set<std::string> seen;
+    int line_no = 0;
+    std::size_t pos = 0;
+    while (pos <= text.size()) {
+        const std::size_t eol = std::min(text.find('\n', pos), text.size());
+        const std::string_view raw = text.substr(pos, eol - pos);
+        pos = eol + 1;
+        ++line_no;
+        const std::string line = trim(raw.substr(0, raw.find('#')));
+        if (line.empty()) continue;
+        const std::size_t eq = line.find('=');
+        if (eq == std::string::npos) {
+            throw SpecError("expected 'key = value': '" + line + "'", line_no);
+        }
+        SpecLine entry{trim(std::string_view(line).substr(0, eq)),
+                       trim(std::string_view(line).substr(eq + 1)), line_no};
+        if (entry.value.empty()) {
+            throw SpecError("key '" + entry.key + "' has an empty value", line_no);
+        }
+        if (!seen.insert(entry.key).second) {
+            throw SpecError("duplicate key '" + entry.key + "'", line_no);
+        }
+        lines.push_back(std::move(entry));
+    }
+    return lines;
+}
+
+std::string read_spec_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw SpecError("cannot read spec file: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    return parse_spec(buffer.str());
+    return buffer.str();
+}
+
+std::uint64_t parse_u64(std::string_view token, int line) {
+    if (token.empty() || token.find_first_not_of("0123456789") != std::string_view::npos) {
+        throw SpecError("not an unsigned integer: '" + std::string(token) + "'", line);
+    }
+    std::uint64_t v = 0;
+    for (const char c : token) {
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+            throw SpecError("value '" + std::string(token) + "' exceeds 2^64 - 1", line);
+        }
+        v = v * 10 + digit;
+    }
+    return v;
+}
+
+long long parse_int(std::string_view token, long long lo, long long hi, int line) {
+    const bool negative = !token.empty() && token.front() == '-';
+    const std::uint64_t magnitude = parse_u64(token.substr(negative ? 1 : 0), line);
+    // Bounds lie within +-10^18: a larger magnitude is out of range, a
+    // smaller one converts exactly.
+    const auto capped =
+        static_cast<long long>(std::min<std::uint64_t>(magnitude, 1000000000000000001ULL));
+    const long long v = negative ? -capped : capped;
+    if (v < lo || v > hi) {
+        throw SpecError("value '" + std::string(token) + "' outside [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) + "]",
+                        line);
+    }
+    return v;
+}
+
+double parse_double(std::string_view token, int line, bool non_negative) {
+    const std::string s(token);
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    // Non-finite values have no JSON spelling: a record would carry `nan`.
+    if (s.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
+        throw SpecError("not a finite number: '" + s + "'", line);
+    }
+    if (non_negative && !(v >= 0.0)) throw SpecError("expected a number >= 0: '" + s + "'", line);
+    return v;
+}
+
+std::pair<int, int> parse_geometry(std::string_view token, int max_side, int line) {
+    const std::size_t x = token.find('x');
+    if (x == std::string_view::npos || token.find('x', x + 1) != std::string_view::npos) {
+        throw SpecError("geometry must be COLSxROWS: '" + std::string(token) + "'", line);
+    }
+    return {static_cast<int>(parse_int(trim(token.substr(0, x)), 1, max_side, line)),
+            static_cast<int>(parse_int(trim(token.substr(x + 1)), 1, max_side, line))};
 }
 
 std::string canonical_text(const SweepSpec& spec) {

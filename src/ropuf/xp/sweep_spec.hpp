@@ -89,4 +89,32 @@ std::string spec_hash(const SweepSpec& spec);
 /// FNV-1a 64-bit hash (exposed for tests and job-ID derivation).
 std::uint64_t fnv1a64(std::string_view s);
 
+// The `key = value` grammar every spec format shares (sweep specs here,
+// fleet specs in fleet/spec): each keeps only its per-key dispatch.
+
+/// One `key = value` assignment and its 1-based line.
+struct SpecLine {
+    std::string key;
+    std::string value;
+    int line = 0;
+};
+
+/// Strips `#` comments and surrounding whitespace, skips blank lines and
+/// splits each line at its first '='. SpecError (with the line) on a line
+/// without '=', an empty value or a repeated key.
+std::vector<SpecLine> read_spec_lines(std::string_view text);
+
+/// The whole text of a spec file; throws SpecError when unreadable.
+std::string read_spec_file(const std::string& path);
+
+// Scalar parsers of one trimmed token: SpecError (with the line) instead of
+// clamping, wrapping or ignoring trailing junk.
+std::uint64_t parse_u64(std::string_view token, int line); ///< digits, <= 2^64 - 1
+/// An optionally negative integer in [lo, hi] (bounds within +-10^18).
+long long parse_int(std::string_view token, long long lo, long long hi, int line);
+/// A finite strtod number; `non_negative` also rejects negatives.
+double parse_double(std::string_view token, int line, bool non_negative = false);
+/// A `COLSxROWS` token, each side in [1, max_side].
+std::pair<int, int> parse_geometry(std::string_view token, int max_side, int line);
+
 } // namespace ropuf::xp

@@ -261,16 +261,6 @@ TEST(FailureRecords, QuarantineRecordRoundTripsAndIsNotCompleted) {
     std::remove(path.c_str());
 }
 
-TEST(FailureRecords, ErrorClassNamesRoundTrip) {
-    for (const auto cls :
-         {core::JobErrorClass::scenario_exception, core::JobErrorClass::injected_fault,
-          core::JobErrorClass::timeout, core::JobErrorClass::store_write,
-          core::JobErrorClass::unknown}) {
-        EXPECT_EQ(core::job_error_class_from(core::job_error_class_name(cls)), cls);
-    }
-    EXPECT_EQ(core::job_error_class_from("martian"), core::JobErrorClass::unknown);
-}
-
 // ---------------------------------------------------------------------------
 // Chaos equivalence: faulted run (+ resume) == clean run, bitwise
 // ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@
 #include "ropuf/fleet/stats.hpp"
 #include "ropuf/fleet/store.hpp"
 #include "ropuf/obs/metrics.hpp"
+#include "ropuf/xp/json.hpp"
 #include "ropuf/xp/result_store.hpp"
 #include "ropuf/xp/sweep_spec.hpp"
 
@@ -148,6 +149,33 @@ TEST(FleetSpec, RejectsInvalidPopulations) {
     EXPECT_THROW((void)fleet::parse_fleet_spec(
                      "name = x\ndevices = 4\nwafer_size = 10\nwafer_cols = 4\n"),
                  xp::SpecError);
+    // Out-of-range integers are errors, never wrapped into another spec's
+    // hash: 2^64 + 42 would read as base_seed 42, 2^32 + 64 as wafer_size 64.
+    EXPECT_THROW((void)fleet::parse_fleet_spec(
+                     "name = x\ndevices = 4\nbase_seed = 18446744073709551658\n"),
+                 xp::SpecError);
+    EXPECT_THROW((void)fleet::parse_fleet_spec(
+                     "name = x\ndevices = 18446744073709551616\n"),
+                 xp::SpecError);
+    EXPECT_THROW((void)fleet::parse_fleet_spec(
+                     "name = x\ndevices = 4\nwafer_size = 4294967360\n"),
+                 xp::SpecError);
+    EXPECT_THROW((void)fleet::parse_fleet_spec(
+                     "name = x\ndevices = 4\nwafer_cols = 4294967304\n"),
+                 xp::SpecError);
+    try {
+        (void)fleet::parse_fleet_spec(
+            "name = x\ndevices = 4\nbase_seed = 18446744073709551616\n");
+        ADD_FAILURE() << "2^64 accepted as a base_seed";
+    } catch (const xp::SpecError& e) {
+        EXPECT_EQ(e.line(), 3) << e.what();
+    }
+    // The largest values of each width still parse.
+    const fleet::FleetSpec widest = fleet::parse_fleet_spec(
+        "name = x\ndevices = 4\nwafer_size = 4294967295\nwafer_cols = 1\n"
+        "base_seed = 18446744073709551615\n");
+    EXPECT_EQ(widest.wafer_size, 4294967295u);
+    EXPECT_EQ(widest.base_seed, 18446744073709551615ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -479,6 +507,73 @@ TEST_F(FleetCampaignTest, QuarantinedShardIsRecordedAndResumeRetriesIt) {
     auto clean_lines = deterministic_lines(clean);
     std::sort(clean_lines.begin(), clean_lines.end());
     EXPECT_EQ(ok_lines, clean_lines);
+}
+
+TEST_F(FleetCampaignTest, ResultsReadBackThroughTheXpRecordCodec) {
+    const std::string path = results_path("readback");
+    const auto run = run_campaign(*population_, store_path_, path, 2);
+    const std::string bytes = read_bytes(path);
+
+    // xp's reader takes every shard line as a record: nothing is torn.
+    xp::ReadStats read_stats;
+    const auto records = xp::read_results(path, &read_stats);
+    EXPECT_EQ(records.size(), 3u);
+    EXPECT_EQ(read_stats.skipped_lines, 0);
+    EXPECT_EQ(read_stats.last_good_offset, static_cast<long long>(bytes.size()));
+    EXPECT_TRUE(xp::salvage_warning(read_stats).empty());
+    EXPECT_EQ(xp::completed_job_ids(path, fleet::fleet_spec_hash(population_->spec())).size(),
+              3u);
+
+    // The file adds up to the run that wrote it.
+    xp::ReadStats rollup_stats;
+    const fleet::FleetRunStats rollup = fleet::read_campaign_results(path, &rollup_stats);
+    EXPECT_EQ(rollup_stats.skipped_lines, 0);
+    EXPECT_EQ(rollup_stats.last_good_offset, static_cast<long long>(bytes.size()));
+    EXPECT_EQ(rollup.total_shards, run.total_shards);
+    EXPECT_EQ(rollup.executed, run.executed);
+    EXPECT_EQ(rollup.failed, run.failed);
+    EXPECT_EQ(rollup.devices, run.devices);
+    EXPECT_EQ(rollup.devices_ok, run.devices_ok);
+    EXPECT_EQ(rollup.trials, run.trials);
+    EXPECT_EQ(rollup.trials_ok, run.trials_ok);
+    EXPECT_EQ(rollup.bit_errors, run.bit_errors);
+    EXPECT_EQ(rollup.measurements, run.measurements);
+    EXPECT_EQ(rollup.success_hist, run.success_hist);
+    EXPECT_EQ(fleet::population_summary(rollup), fleet::population_summary(run));
+
+    // Each line decodes to a record that re-encodes to the same bytes.
+    std::istringstream lines(bytes);
+    std::string line;
+    while (std::getline(lines, line)) {
+        EXPECT_EQ(fleet::shard_record_line(fleet::decode_shard_record(xp::parse_json(line))),
+                  line);
+    }
+}
+
+TEST_F(FleetCampaignTest, ReadBackDropsQuarantinesALaterRecordCompleted) {
+    const std::string clean = results_path("rbclean");
+    const auto run = run_campaign(*population_, store_path_, clean, 1);
+
+    fi::Injector injector(fi::parse_fault_plan("seed(1);job_throw(ids=1)"));
+    const std::string path = results_path("rbquar");
+    (void)run_campaign(*population_, store_path_, path, 1, /*max_shards=*/-1, &injector);
+    const fleet::FleetRunStats partial = fleet::read_campaign_results(path);
+    EXPECT_EQ(partial.failed, 1u);
+    EXPECT_EQ(partial.executed, 2u);
+    EXPECT_EQ(partial.total_shards, 3u);
+
+    (void)run_campaign(*population_, store_path_, path, 1); // resume retries shard 1
+    const fleet::FleetRunStats whole = fleet::read_campaign_results(path);
+    EXPECT_EQ(whole.failed, 0u);
+    EXPECT_EQ(whole.executed, 3u);
+    EXPECT_EQ(whole.devices_ok, run.devices_ok);
+    EXPECT_EQ(whole.bit_errors, run.bit_errors);
+    EXPECT_EQ(whole.success_hist, run.success_hist);
+
+    // The quarantine line carries the real attempt count in its fault key.
+    const std::string bytes = read_bytes(path);
+    EXPECT_NE(bytes.find("\"fault\":{\"attempts\":1,\"class\":\"injected_fault\""),
+              std::string::npos);
 }
 
 TEST_F(FleetCampaignTest, PublishesSchedulerAndPopulationCounters) {

@@ -1,6 +1,8 @@
-// Fuzzing the xp spec/JSON parsers with the pt_util generator harness:
-// structured mutations of the committed specs/*.spec files, mutated JSONL
-// result records, and raw garbage. The contract under test is total
+// Fuzzing the spec/JSON/record parsers with the pt_util generator harness:
+// structured mutations of the committed specs/*.spec files (sweep and fleet
+// specs, each mutation fed to both spec parsers), mutated JSONL result
+// records (an xp job line and a fleet shard line, each fed to both record
+// decoders), and raw garbage. The contract under test is total
 // robustness — every input either parses or throws a typed exception
 // (SpecError / JsonError / std::logic_error); anything else (crash, UB,
 // runaway allocation, foreign exception type) is a bug. The ASan/UBSan CI
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "pt_util.hpp"
+#include "ropuf/fleet/campaign.hpp"
+#include "ropuf/fleet/spec.hpp"
 #include "ropuf/xp/json.hpp"
 #include "ropuf/xp/result_store.hpp"
 #include "ropuf/xp/sweep_spec.hpp"
@@ -36,7 +40,7 @@ std::chrono::milliseconds fuzz_budget() {
 std::vector<std::string> committed_spec_texts() {
     static const char* kSpecs[] = {"smoke", "fig1_array_size", "fig5_failure_pdf",
                                    "fig7_fuzzy", "fig_budget_curve", "fig_matrix",
-                                   "paper_all"};
+                                   "paper_all", "fleet_smoke", "fleet_100k"};
     std::vector<std::string> texts;
     for (const char* name : kSpecs) {
         const std::string path =
@@ -50,23 +54,24 @@ std::vector<std::string> committed_spec_texts() {
     return texts;
 }
 
-/// The robustness contract for one spec input: parse either rejects with
-/// SpecError, or accepts — and an accepted spec's canonical text must
-/// re-parse to the same canonical text (the content-addressing invariant;
-/// a canonical form that fails to re-parse would orphan its spec hash).
-/// Empty string = held.
-std::string spec_parse_survives(const std::string& text) {
-    xp::SweepSpec spec;
+/// The robustness contract for one spec input and one parser: parse
+/// either rejects with SpecError, or accepts — and an accepted spec's
+/// canonical text must re-parse to the same canonical text (the
+/// content-addressing invariant; a canonical form that fails to re-parse
+/// would orphan its spec hash). Empty string = held.
+template <typename Parse, typename Canonical>
+std::string parse_survives(const std::string& text, Parse parse, Canonical canonical) {
+    decltype(parse(text)) spec;
     try {
-        spec = xp::parse_spec(text);
+        spec = parse(text);
     } catch (const xp::SpecError&) {
         return ""; // typed rejection is the contract
     } catch (const std::exception& e) {
         return std::string("non-SpecError exception escaped: ") + e.what();
     }
     try {
-        const std::string canonical = xp::canonical_text(spec);
-        if (xp::canonical_text(xp::parse_spec(canonical)) != canonical) {
+        const std::string text_form = canonical(spec);
+        if (canonical(parse(text_form)) != text_form) {
             return "canonical_text is not a fixpoint under re-parse";
         }
         return "";
@@ -74,6 +79,19 @@ std::string spec_parse_survives(const std::string& text) {
         return std::string("canonical text of an accepted spec failed to re-parse: ") +
                e.what();
     }
+}
+
+/// Every spec input goes through both spec grammars: the sweep parser and
+/// the fleet parser share one line reader and one set of scalar parsers.
+std::string spec_parse_survives(const std::string& text) {
+    const std::string sweep = parse_survives(
+        text, [](const std::string& t) { return xp::parse_spec(t); },
+        [](const xp::SweepSpec& spec) { return xp::canonical_text(spec); });
+    if (!sweep.empty()) return "sweep spec: " + sweep;
+    const std::string fleet = parse_survives(
+        text, [](const std::string& t) { return fleet::parse_fleet_spec(t); },
+        [](const fleet::FleetSpec& spec) { return fleet::canonical_text(spec); });
+    return fleet.empty() ? "" : "fleet spec: " + fleet;
 }
 
 std::string json_parse_survives(const std::string& text) {
@@ -87,17 +105,47 @@ std::string json_parse_survives(const std::string& text) {
     }
 }
 
+/// Every record line goes through both record decoders: xp's (any kind's
+/// envelope) and fleet's (envelope plus shard body).
 std::string record_parse_survives(const std::string& line) {
-    try {
-        (void)xp::parse_record(line);
-        return "";
-    } catch (const xp::JsonError&) {
-        return "";
-    } catch (const std::logic_error&) {
-        return ""; // structurally-wrong records are rejected with logic_error
-    } catch (const std::exception& e) {
-        return std::string("unexpected exception type escaped: ") + e.what();
+    for (int decoder = 0; decoder < 2; ++decoder) {
+        try {
+            if (decoder == 0) {
+                (void)xp::parse_record(line);
+            } else {
+                (void)fleet::decode_shard_record(xp::parse_json(line));
+            }
+        } catch (const xp::JsonError&) {
+        } catch (const std::logic_error&) {
+            // structurally-wrong records are rejected with logic_error
+        } catch (const std::exception& e) {
+            return std::string("unexpected exception type escaped: ") + e.what();
+        }
     }
+    return "";
+}
+
+fleet::ShardRecord sample_shard_record() {
+    fleet::ShardRecord r;
+    r.spec_name = "fuzz_fleet";
+    r.spec_hash = "0123456789abcdef";
+    r.job_id = "0123456789abcdef-s00002";
+    r.shard = 2;
+    r.device_first = 128;
+    r.device_count = 64;
+    r.key_bits = 48;
+    r.trials = 3;
+    r.majority_wins = 5;
+    r.base_seed = 0xfedcba9876543210ULL;
+    r.devices_ok = 61;
+    r.trials_ok = 189;
+    r.bit_errors = 4;
+    r.success_hist = {0, 1, 2, 61};
+    r.measurements = 122880;
+    r.workers = 4;
+    r.wall_ms = 1.25;
+    r.attempts = 2;
+    return r;
 }
 
 xp::JobRecord sample_record() {
@@ -140,14 +188,15 @@ TEST(FuzzXp, MutatedCommittedSpecsParseOrThrowSpecError) {
 }
 
 TEST(FuzzXp, MutatedRecordsAndRawGarbageNeverEscapeTheParsers) {
-    const std::string base_line = xp::to_jsonl(sample_record());
+    const std::string bases[] = {xp::to_jsonl(sample_record()),
+                                 fleet::shard_record_line(sample_shard_record())};
     const auto deadline = std::chrono::steady_clock::now() + fuzz_budget();
     std::uint64_t seed = 777;
     while (std::chrono::steady_clock::now() < deadline) {
         const auto mutated = pt::check<std::string>(
             "mutated JSONL record", seed, 200,
-            [&](pt::Rng& rng) { return pt::mutate_text(base_line, rng); }, pt::shrink_text,
-            record_parse_survives, pt::show_text);
+            [&](pt::Rng& rng) { return pt::mutate_text(bases[rng.uniform_int(0, 1)], rng); },
+            pt::shrink_text, record_parse_survives, pt::show_text);
         ASSERT_FALSE(mutated.failed) << mutated.summary();
 
         const auto garbage = pt::check<std::string>(

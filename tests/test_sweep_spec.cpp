@@ -218,6 +218,75 @@ TEST(SweepSpec, RejectsBadGeometryEccAndValues) {
     EXPECT_THROW(parse_spec("name=x\nscenarios=all\ntrials=4294967297\n"), SpecError);
     EXPECT_THROW(parse_spec("name=x\nscenarios=all\ngeometry=4294967297x8\n"), SpecError);
     EXPECT_THROW(parse_spec("name=bad name!\nscenarios=all\n"), SpecError);
+    // A non-finite axis value would reach its record as `nan`, which no
+    // JSON reader takes back.
+    EXPECT_THROW(parse_spec("name=x\nscenarios=all\nsigma_noise_mhz=nan\n"), SpecError);
+    EXPECT_THROW(parse_spec("name=x\nscenarios=all\nambient_c=inf\n"), SpecError);
+}
+
+TEST(SweepSpec, SeedsBeyondU64AreErrorsNotClampedAliases) {
+    // A clamped or wrapped seed would alias another spec's hash (here that
+    // of master_seed = 18446744073709551615), so the value is an error.
+    EXPECT_THROW(parse_spec("name=x\nscenarios=all\nmaster_seed=18446744073709551658\n"),
+                 SpecError);
+    EXPECT_THROW(parse_spec("name=x\nscenarios=all\nmaster_seed=99999999999999999999999\n"),
+                 SpecError);
+    EXPECT_THROW(parse_spec("name=x\nscenarios=all\nmaster_seed=1:18446744073709551616:1\n"),
+                 SpecError);
+    try {
+        (void)parse_spec("name=x\nscenarios=all\nmaster_seed=18446744073709551616\n");
+        ADD_FAILURE() << "2^64 accepted as a seed";
+    } catch (const SpecError& e) {
+        EXPECT_EQ(e.line(), 3) << e.what();
+    }
+    const SweepSpec widest =
+        parse_spec("name=x\nscenarios=all\nmaster_seed=18446744073709551615\n");
+    EXPECT_EQ(widest.master_seed, std::vector<std::uint64_t>{18446744073709551615ull});
+}
+
+TEST(SpecGrammar, SharedLineReaderSplitsTrimsAndRejects) {
+    const auto lines = xp::read_spec_lines(
+        "# header\n"
+        "  alpha = 1, 2   # trailing comment\n"
+        "\n"
+        "beta=x=y\n");
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0].key, "alpha");
+    EXPECT_EQ(lines[0].value, "1, 2");
+    EXPECT_EQ(lines[0].line, 2);
+    EXPECT_EQ(lines[1].key, "beta");
+    EXPECT_EQ(lines[1].value, "x=y"); // split at the first '='
+    EXPECT_EQ(lines[1].line, 4);
+    for (const char* bad : {"alpha\n", "alpha =\n", "alpha = # nothing\n",
+                            "alpha = 1\nalpha = 2\n"}) {
+        EXPECT_THROW((void)xp::read_spec_lines(bad), SpecError) << bad;
+    }
+    try {
+        (void)xp::read_spec_lines("a = 1\n\nb = 2\na = 3\n");
+        ADD_FAILURE() << "duplicate key accepted";
+    } catch (const SpecError& e) {
+        EXPECT_EQ(e.line(), 4) << e.what();
+    }
+}
+
+TEST(SpecGrammar, ScalarParsersRejectInsteadOfClampingOrWrapping) {
+    EXPECT_EQ(xp::parse_u64("18446744073709551615", 1), 18446744073709551615ull);
+    EXPECT_EQ(xp::parse_u64("00042", 1), 42u);
+    for (const char* bad : {"", "-1", "+1", "1.0", "0x10", "18446744073709551616", "1 2"}) {
+        EXPECT_THROW((void)xp::parse_u64(bad, 1), SpecError) << bad;
+    }
+    EXPECT_EQ(xp::parse_int("-7", -10, 10, 1), -7);
+    EXPECT_EQ(xp::parse_int("0000000000000000000000010", 0, 10, 1), 10);
+    for (const char* bad : {"", "-", "11", "-11", "+3", "3x", "99999999999999999999999"}) {
+        EXPECT_THROW((void)xp::parse_int(bad, -10, 10, 1), SpecError) << bad;
+    }
+    EXPECT_EQ(xp::parse_double("-2.5", 1), -2.5);
+    EXPECT_THROW((void)xp::parse_double("-2.5", 1, /*non_negative=*/true), SpecError);
+    for (const char* bad : {"nan", "inf", "-inf", "1e999", "1.5mhz", ""}) {
+        EXPECT_THROW((void)xp::parse_double(bad, 1), SpecError) << bad;
+    }
+    EXPECT_EQ(xp::parse_geometry(" 16 x 8 ", 100, 1), (std::pair<int, int>{16, 8}));
+    EXPECT_THROW((void)xp::parse_geometry("101x8", 100, 1), SpecError);
 }
 
 // ---------------------------------------------------------------------------

@@ -254,8 +254,39 @@ int cmd_list() {
     return 0;
 }
 
+template <typename Load>
+bool reads_as(Load load, const std::string& path) {
+    try {
+        (void)load(path);
+        return true;
+    } catch (const xp::SpecError&) {
+        return false;
+    }
+}
+
+/// Sweep and fleet specs load through their own verbs; a spec of the other
+/// kind is an error that names the verbs taking it (exit 1 either way).
+xp::SweepSpec load_sweep_spec(const std::string& path) {
+    try {
+        return xp::load_spec_file(path);
+    } catch (const xp::SpecError&) {
+        if (!reads_as(fleet::load_fleet_spec_file, path)) throw;
+    }
+    throw xp::SpecError(path + " is a fleet spec: use 'ropuf fleet info|enroll|campaign " +
+                        path + "'");
+}
+
+fleet::FleetSpec load_fleet_spec(const std::string& path) {
+    try {
+        return fleet::load_fleet_spec_file(path);
+    } catch (const xp::SpecError&) {
+        if (!reads_as(xp::load_spec_file, path)) throw;
+    }
+    throw xp::SpecError(path + " is a sweep spec: use 'ropuf plan|run " + path + "'");
+}
+
 int cmd_plan(const std::string& spec_path) {
-    const xp::SweepSpec spec = xp::load_spec_file(spec_path);
+    const xp::SweepSpec spec = load_sweep_spec(spec_path);
     const xp::Plan plan = xp::plan_spec(spec, attack::default_registry());
     std::printf("spec %s  hash %s  %zu jobs\n\n", plan.spec_name.c_str(), plan.hash.c_str(),
                 plan.jobs.size());
@@ -442,6 +473,21 @@ int cmd_report(const std::string& results_path, bool matrix, bool timings) {
         std::fprintf(stderr, "ropuf: no records in %s\n", results_path.c_str());
         return 1;
     }
+    // Fleet shard records share the envelope but have no scenario; their
+    // view is the campaign's population line.
+    if (records.front().scenario.empty()) {
+        if (matrix || timings) {
+            std::fprintf(stderr, "ropuf: --matrix/--timings need xp job records\n");
+            return 2;
+        }
+        const fleet::FleetRunStats rollup = fleet::read_campaign_results(results_path);
+        std::printf("%s", fleet::population_summary(rollup).c_str());
+        if (rollup.failed > 0) {
+            std::printf("%llu shard(s) still quarantined — rerun 'ropuf fleet resume'\n",
+                        static_cast<unsigned long long>(rollup.failed));
+        }
+        return 0;
+    }
     std::string rendered;
     if (matrix) {
         rendered = xp::render_matrix(records);
@@ -459,7 +505,7 @@ int cmd_report(const std::string& results_path, bool matrix, bool timings) {
 std::string default_store(const fleet::FleetSpec& spec) { return spec.name + ".fleet"; }
 
 int cmd_fleet_info(const std::string& spec_path) {
-    const fleet::FleetSpec spec = fleet::load_fleet_spec_file(spec_path);
+    const fleet::FleetSpec spec = load_fleet_spec(spec_path);
     const fleet::Population population(spec);
     std::printf("fleet %s  hash %s\n", spec.name.c_str(),
                 fleet::fleet_spec_hash(spec).c_str());
@@ -499,7 +545,7 @@ int cmd_fleet_stats(const std::string& store_path) {
 }
 
 int cmd_fleet_enroll(const std::string& spec_path, const CliOptions& opts) {
-    const fleet::FleetSpec spec = fleet::load_fleet_spec_file(spec_path);
+    const fleet::FleetSpec spec = load_fleet_spec(spec_path);
     const fleet::Population population(spec);
     const std::string store_path = opts.store.empty() ? default_store(spec) : opts.store;
 
@@ -568,7 +614,7 @@ int cmd_fleet_enroll(const std::string& spec_path, const CliOptions& opts) {
 
 int fleet_run_or_resume(const std::string& spec_path, const CliOptions& opts, bool resume,
                         const std::string& results_arg) {
-    const fleet::FleetSpec spec = fleet::load_fleet_spec_file(spec_path);
+    const fleet::FleetSpec spec = load_fleet_spec(spec_path);
     const fleet::Population population(spec);
     const std::string store_path = opts.store.empty() ? default_store(spec) : opts.store;
     const std::string results_path =
@@ -614,15 +660,7 @@ int fleet_run_or_resume(const std::string& spec_path, const CliOptions& opts, bo
                 static_cast<unsigned long long>(stats.skipped),
                 static_cast<unsigned long long>(stats.failed),
                 static_cast<unsigned long long>(stats.total_shards));
-    if (stats.devices > 0) {
-        std::printf("population: %llu/%llu devices all-trials-ok, %llu/%llu trials ok, "
-                    "%llu bit error(s)\n",
-                    static_cast<unsigned long long>(stats.devices_ok),
-                    static_cast<unsigned long long>(stats.devices),
-                    static_cast<unsigned long long>(stats.trials_ok),
-                    static_cast<unsigned long long>(stats.trials),
-                    static_cast<unsigned long long>(stats.bit_errors));
-    }
+    if (stats.devices > 0) std::printf("%s", fleet::population_summary(stats).c_str());
     if (stats.store_faults > 0) {
         std::printf("fault tolerance: %llu store fault(s)\n",
                     static_cast<unsigned long long>(stats.store_faults));
@@ -702,7 +740,7 @@ int main(int argc, char** argv) {
             if (args.size() < 2) return usage(stderr);
             CliOptions opts;
             if (!parse_options(args, 2, opts, "run", {"--store", "--max-shards"})) return 2;
-            const xp::SweepSpec spec = xp::load_spec_file(args[1]);
+            const xp::SweepSpec spec = load_sweep_spec(args[1]);
             const std::string out = opts.output.empty() ? default_output(spec) : opts.output;
             return run_or_resume(spec, args[1], opts, /*resume=*/false, out);
         }
@@ -712,7 +750,7 @@ int main(int argc, char** argv) {
             if (!parse_options(args, 3, opts, "resume", {"-o", "--store", "--max-shards"})) {
                 return 2;
             }
-            return run_or_resume(xp::load_spec_file(args[1]), args[1], opts, /*resume=*/true,
+            return run_or_resume(load_sweep_spec(args[1]), args[1], opts, /*resume=*/true,
                                  args[2]);
         }
         if (command == "fleet") return cmd_fleet(args);
