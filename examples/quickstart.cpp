@@ -48,6 +48,6 @@ int main() {
                 (rec.ok && rec.key == enrollment.key) ? "key survived (!)"
                                                       : "key regeneration broke");
     std::printf("=> failure observability is exactly the side channel the\n");
-    std::printf("   DATE 2014 attacks exploit; see examples/attack_demo.cpp\n");
+    std::printf("   DATE 2014 attacks exploit; `ropuf run specs/smoke.spec` runs them\n");
     return 0;
 }

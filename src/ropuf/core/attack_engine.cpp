@@ -123,15 +123,6 @@ std::string unknown_name_message(std::string_view what, std::string_view name,
     return message;
 }
 
-std::vector<AttackReport> AttackEngine::run_all(const ScenarioParams& params) const {
-    std::vector<AttackReport> out;
-    out.reserve(registry_->size());
-    for (const auto& scenario : registry_->scenarios()) {
-        out.push_back(run(scenario.name, params));
-    }
-    return out;
-}
-
 double bit_accuracy(const bits::BitVec& recovered, const bits::BitVec& truth) {
     if (truth.empty()) return 0.0;
     const std::size_t overlap = std::min(recovered.size(), truth.size());
@@ -140,29 +131,6 @@ double bit_accuracy(const bits::BitVec& recovered, const bits::BitVec& truth) {
         if (recovered[i] == truth[i]) ++matches;
     }
     return static_cast<double>(matches) / static_cast<double>(truth.size());
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-    for (char ch : s) {
-        switch (ch) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(static_cast<unsigned char>(ch)));
-                    out += buf;
-                } else {
-                    out.push_back(ch);
-                }
-        }
-    }
 }
 
 std::string to_json(const AttackReport& r) {
@@ -200,25 +168,6 @@ std::string to_json(const AttackReport& r) {
     }
     out += "}";
     return out;
-}
-
-std::string report_table_header() {
-    char buf[200];
-    std::snprintf(buf, sizeof buf, "%-32s %-12s %8s %9s %9s %9s %9s %-18s %9s", "scenario",
-                  "ref", "key bits", "queries", "meas(k)", "accuracy", "full key", "outcome",
-                  "wall ms");
-    return buf;
-}
-
-std::string report_table_row(const AttackReport& r) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf, "%-32s %-12s %8d %9lld %9.1f %9.3f %9s %-18s %9.1f",
-                  r.scenario.c_str(), r.paper_ref.c_str(), r.key_bits,
-                  static_cast<long long>(r.queries),
-                  static_cast<double>(r.measurements) / 1000.0, r.accuracy,
-                  r.key_recovered ? "YES" : "no", std::string(to_string(r.outcome)).c_str(),
-                  r.wall_ms);
-    return buf;
 }
 
 } // namespace ropuf::core

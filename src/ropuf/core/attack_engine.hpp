@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
+#include "ropuf/obs/trace.hpp"
 
 namespace ropuf::core {
 
@@ -135,9 +136,6 @@ public:
     /// naming the request and the closest registered scenario.
     AttackReport run(std::string_view name, const ScenarioParams& params = {}) const;
 
-    /// Runs every registered scenario in registration order.
-    std::vector<AttackReport> run_all(const ScenarioParams& params = {}) const;
-
 private:
     const ScenarioRegistry* registry_;
 };
@@ -161,15 +159,11 @@ std::string closest_match(std::string_view name, const std::vector<std::string>&
 std::string unknown_name_message(std::string_view what, std::string_view name,
                                  const std::vector<std::string>& candidates);
 
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes and
-/// control characters). Shared by every BENCH_*.json emitter.
-void append_json_escaped(std::string& out, std::string_view s);
+/// JSON string escaping for every BENCH_*.json and record emitter. The one
+/// implementation lives in obs, which depends on no other layer.
+using obs::append_json_escaped;
 
 /// One-line JSON object for machine consumption (BENCH_*.json emitters).
 std::string to_json(const AttackReport& report);
-
-/// Fixed-width table rendering for benches and demos.
-std::string report_table_header();
-std::string report_table_row(const AttackReport& report);
 
 } // namespace ropuf::core

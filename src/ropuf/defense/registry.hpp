@@ -18,8 +18,8 @@
 // per-construction DefenseContext (validator, canonical check, enrolled
 // blob, defense-side seed).
 //
-// The registry is open: tests and future hardened-device work register their
-// own Defense entries exactly like scenarios register into the
+// The registry is open: tests and new countermeasures register their own
+// Defense entries exactly like scenarios register into the
 // ScenarioRegistry.
 #pragma once
 

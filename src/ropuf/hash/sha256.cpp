@@ -141,30 +141,6 @@ Digest Sha256::hash(std::string_view s) {
     return h.finalize();
 }
 
-Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> message) {
-    std::array<std::uint8_t, 64> block_key{};
-    if (key.size() > 64) {
-        const Digest kd = Sha256::hash(key);
-        std::memcpy(block_key.data(), kd.data(), kd.size());
-    } else {
-        std::memcpy(block_key.data(), key.data(), key.size());
-    }
-    std::array<std::uint8_t, 64> ipad{};
-    std::array<std::uint8_t, 64> opad{};
-    for (std::size_t i = 0; i < 64; ++i) {
-        ipad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36u);
-        opad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5cu);
-    }
-    Sha256 inner;
-    inner.update(std::span<const std::uint8_t>(ipad.data(), ipad.size()));
-    inner.update(message);
-    const Digest inner_digest = inner.finalize();
-    Sha256 outer;
-    outer.update(std::span<const std::uint8_t>(opad.data(), opad.size()));
-    outer.update(std::span<const std::uint8_t>(inner_digest.data(), inner_digest.size()));
-    return outer.finalize();
-}
-
 std::string to_hex(const Digest& d) {
     static constexpr char kHex[] = "0123456789abcdef";
     std::string s;

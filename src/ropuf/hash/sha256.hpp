@@ -1,9 +1,10 @@
-// FIPS 180-4 SHA-256 and RFC 2104 HMAC-SHA-256, implemented from scratch.
+// FIPS 180-4 SHA-256, implemented from scratch.
 //
 // Used by the fuzzy-extractor reference construction (paper Fig. 7): the hash
 // compresses the error-corrected PUF response into a uniformly distributed
 // key, compensating the ECC helper-data entropy loss. Also used by the robust
-// helper-data mode to bind helper blobs against manipulation.
+// helper-data mode and the `mac` defense to bind helper blobs against
+// manipulation.
 #pragma once
 
 #include <array>
@@ -48,9 +49,6 @@ private:
     std::uint64_t total_bits_ = 0;
     bool finalized_ = false;
 };
-
-/// HMAC-SHA-256(key, message).
-Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> message);
 
 /// Renders a digest as lowercase hex.
 std::string to_hex(const Digest& d);

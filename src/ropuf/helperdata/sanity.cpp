@@ -69,25 +69,4 @@ SanityReport check_coefficients(const std::vector<double>& beta, double magnitud
     return report;
 }
 
-std::vector<std::uint8_t> HelperAuthenticator::seal(std::span<const std::uint8_t> blob) const {
-    const auto tag = hash::hmac_sha256(key_, blob);
-    std::vector<std::uint8_t> out(blob.begin(), blob.end());
-    out.insert(out.end(), tag.begin(), tag.end());
-    return out;
-}
-
-std::optional<std::vector<std::uint8_t>> HelperAuthenticator::open(
-    std::span<const std::uint8_t> sealed) const {
-    if (sealed.size() < 32) return std::nullopt;
-    const auto body = sealed.first(sealed.size() - 32);
-    const auto tag = hash::hmac_sha256(key_, body);
-    // Constant-time comparison (good hygiene even in a simulator).
-    std::uint8_t diff = 0;
-    for (std::size_t i = 0; i < 32; ++i) {
-        diff |= static_cast<std::uint8_t>(tag[i] ^ sealed[sealed.size() - 32 + i]);
-    }
-    if (diff != 0) return std::nullopt;
-    return std::vector<std::uint8_t>(body.begin(), body.end());
-}
-
 } // namespace ropuf::helperdata

@@ -1,26 +1,17 @@
-// Helper-data sanity checks and authentication — the "best practices" of
-// paper Section VII.
+// Helper-data sanity checks — the "best practices" of paper Section VII.
 //
 // The attacked constructions perform no validation of their helper data; the
 // paper argues a precise parsing/sanity specification is a minimum
-// requirement, and cites Boyen et al. [1] for a cryptographic fix. This
-// module provides both levels:
-//
-//  * structural checks a careful device could run (index ranges, RO re-use
-//    across pairs, strict group partitions, helper length consistency);
-//  * HelperAuthenticator — an HMAC-SHA-256 tag over the helper blob keyed
-//    with a device secret. With an authenticated blob every manipulation
-//    attack in Section VI degrades to denial-of-service. (A pure-PUF device
-//    has a bootstrapping caveat — discussed in EXPERIMENTS.md E11.)
+// requirement. These are the structural checks a careful device could run
+// (index ranges, RO re-use across pairs, strict group partitions, helper
+// length consistency); DeviceTraits::sanity composes them per construction
+// and the `sanity` defense runs them per probe. The cryptographic fix the
+// paper cites (Boyen et al. [1]) is the registry's `mac` defense.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "ropuf/hash/sha256.hpp"
 #include "ropuf/helperdata/formats.hpp"
 
 namespace ropuf::helperdata {
@@ -51,21 +42,5 @@ SanityReport check_group_assignment(const std::vector<int>& group_of, int ro_cou
 /// magnitude. Flagging absurd coefficients blocks the steep-surface
 /// injections of Section VI-C/D (at the price of a device-specific bound).
 SanityReport check_coefficients(const std::vector<double>& beta, double magnitude_bound);
-
-/// HMAC-SHA-256 authentication of a helper blob with a device-local key.
-class HelperAuthenticator {
-public:
-    explicit HelperAuthenticator(std::span<const std::uint8_t> device_key)
-        : key_(device_key.begin(), device_key.end()) {}
-
-    /// Appends a 32-byte tag to the blob.
-    std::vector<std::uint8_t> seal(std::span<const std::uint8_t> blob) const;
-
-    /// Verifies and strips the tag; nullopt when the tag does not match.
-    std::optional<std::vector<std::uint8_t>> open(std::span<const std::uint8_t> sealed) const;
-
-private:
-    std::vector<std::uint8_t> key_;
-};
 
 } // namespace ropuf::helperdata

@@ -14,7 +14,7 @@ void install_trace(TraceSink* sink) noexcept {
     detail::g_trace.store(sink, std::memory_order_release);
 }
 
-void append_trace_escaped(std::string& out, std::string_view text) {
+void append_json_escaped(std::string& out, std::string_view text) {
     for (const char c : text) {
         switch (c) {
         case '"': out += "\\\""; break;
@@ -22,6 +22,8 @@ void append_trace_escaped(std::string& out, std::string_view text) {
         case '\n': out += "\\n"; break;
         case '\r': out += "\\r"; break;
         case '\t': out += "\\t"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
         default:
             if (static_cast<unsigned char>(c) < 0x20) {
                 char buf[8];
@@ -41,11 +43,11 @@ void fault_instant(std::string_view name, std::string_view what, std::string_vie
     std::string args = "{";
     if (!cls.empty()) {
         args += "\"class\":\"";
-        append_trace_escaped(args, cls);
+        append_json_escaped(args, cls);
         args += "\",";
     }
     args += "\"what\":\"";
-    append_trace_escaped(args, what);
+    append_json_escaped(args, what);
     args += "\"}";
     sink->instant(name, std::move(args));
 }
@@ -143,7 +145,7 @@ void TraceSink::set_thread_name(std::string_view name) {
     if (closed_) return;
     Track& track = local_track_locked();
     std::string args = "{\"name\":\"";
-    append_trace_escaped(args, name);
+    append_json_escaped(args, name);
     args += "\"}";
     push_locked(Event{0.0, track.tid, 'M', "thread_name", std::move(args)});
 }
@@ -233,7 +235,7 @@ bool TraceSink::close() {
         std::snprintf(buf, sizeof(buf), "%.3f", e.ts_us);
         out += buf;
         out += ",\"name\":\"";
-        append_trace_escaped(out, e.name);
+        append_json_escaped(out, e.name);
         out += '"';
         if (e.ph == 'i') out += ",\"s\":\"t\""; // thread-scoped instant
         if (!e.args_json.empty()) {

@@ -43,9 +43,10 @@ inline TraceSink* trace() noexcept {
 void install_trace(TraceSink* sink) noexcept;
 
 /// Escapes `text` into `out` as JSON string *content* (no surrounding
-/// quotes). Exposed so call sites can build small `args` objects without
-/// pulling in a JSON library.
-void append_trace_escaped(std::string& out, std::string_view text);
+/// quotes): quotes, backslashes, the short escapes \n \r \t \b \f, and
+/// \u00XX for the other control characters. The one JSON string escaper:
+/// trace args, metric names, result records and BENCH_*.json all use it.
+void append_json_escaped(std::string& out, std::string_view text);
 
 /// Emits the instant `name` on the calling thread's track with args
 /// {"what": what}, or {"class": cls, "what": what} when `cls` is non-empty.
@@ -68,7 +69,7 @@ public:
 
     /// Begins a duration span on the calling thread's track. `args_json`,
     /// when non-empty, must be a complete JSON object (e.g. built with
-    /// append_trace_escaped).
+    /// append_json_escaped).
     void begin(std::string_view name, std::string args_json = {});
 
     /// Ends the calling thread's innermost open span. Unbalanced end()s

@@ -118,9 +118,9 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         std::string job_args;
         if (obs::trace() != nullptr) {
             job_args = "{\"job\":\"";
-            obs::append_trace_escaped(job_args, job.id);
+            obs::append_json_escaped(job_args, job.id);
             job_args += "\",\"scenario\":\"";
-            obs::append_trace_escaped(job_args, job.scenario);
+            obs::append_json_escaped(job_args, job.scenario);
             job_args += "\",\"trials\":" + std::to_string(job.trials) + "}";
         }
         const obs::Span job_span("job", std::move(job_args));

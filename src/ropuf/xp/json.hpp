@@ -1,7 +1,7 @@
 // Minimal JSON value + recursive-descent parser.
 //
 // The experiment subsystem both writes JSONL (through the shared
-// core::append_json_escaped emitters) and reads it back — resume needs the
+// obs::append_json_escaped emitters) and reads it back — resume needs the
 // job IDs already present in a results file, and `ropuf report` aggregates
 // whole files. The repo is dependency-free by policy, so this is the small
 // reader those paths share: strict enough to reject the truncated final

@@ -53,6 +53,9 @@ Plan plan_spec(const SweepSpec& spec, const core::ScenarioRegistry& registry) {
 
     const auto scenarios = resolve_scenarios(spec, registry);
     if (scenarios.empty()) throw SpecError("spec expands to zero jobs: no scenarios resolved");
+    if (grid_points(spec, scenarios.size()) > kMaxGridPoints) {
+        throw SpecError("spec plans more than " + std::to_string(kMaxGridPoints) + " jobs");
+    }
 
     // Defense tokens resolve against the registry too: unknown names fail
     // here (with a did-you-mean), and canonicalization fills in registry

@@ -10,6 +10,7 @@
 
 #include "ropuf/fi/injector.hpp"
 #include "ropuf/obs/metrics.hpp"
+#include "ropuf/obs/trace.hpp"
 #include "ropuf/simd/simd.hpp"
 #include "ropuf/xp/json.hpp"
 
@@ -99,11 +100,11 @@ JobRecord make_failed_record(const Plan& plan, const Job& job, const core::JobEr
 
 void append_identity(std::string& out, const RecordEnvelope& r) {
     out += "\"spec\":\"";
-    core::append_json_escaped(out, r.spec_name);
+    obs::append_json_escaped(out, r.spec_name);
     out += "\",\"spec_hash\":\"";
-    core::append_json_escaped(out, r.spec_hash);
+    obs::append_json_escaped(out, r.spec_hash);
     out += "\",\"job\":\"";
-    core::append_json_escaped(out, r.job_id);
+    obs::append_json_escaped(out, r.job_id);
     out += '"';
 }
 
@@ -119,7 +120,7 @@ void append_host_tail(std::string& out, const RecordEnvelope& r) {
     out += ",\"measurements_per_s\":";
     append_number(out, r.measurements_per_s);
     out += ",\"simd\":\"";
-    core::append_json_escaped(out, r.simd);
+    obs::append_json_escaped(out, r.simd);
     out += "\",\"hardware_concurrency\":" + std::to_string(r.hardware_concurrency);
     out += '}';
     // Fault-tolerance side-fields ride after timing (outside the
@@ -129,9 +130,9 @@ void append_host_tail(std::string& out, const RecordEnvelope& r) {
         out += ",\"fault\":{\"attempts\":" + std::to_string(r.attempts);
         if (r.failed()) {
             out += ",\"class\":\"";
-            core::append_json_escaped(out, r.error_class);
+            obs::append_json_escaped(out, r.error_class);
             out += "\",\"message\":\"";
-            core::append_json_escaped(out, r.error_message);
+            obs::append_json_escaped(out, r.error_message);
             out += '"';
         }
         out += '}';
@@ -146,7 +147,7 @@ void append_host_tail(std::string& out, const RecordEnvelope& r) {
             if (!first) out += ',';
             first = false;
             out += '"';
-            core::append_json_escaped(out, name);
+            obs::append_json_escaped(out, name);
             out += "\":";
             append_number(out, value);
         }
@@ -156,7 +157,7 @@ void append_host_tail(std::string& out, const RecordEnvelope& r) {
             if (!first) out += ',';
             first = false;
             out += '"';
-            core::append_json_escaped(out, name);
+            obs::append_json_escaped(out, name);
             out += "\":{\"count\":" + std::to_string(h.count);
             out += ",\"mean\":";
             append_number(out, h.mean);
@@ -179,7 +180,7 @@ std::string to_jsonl(const JobRecord& r) {
     append_identity(out, r);
     out += ",\"index\":" + std::to_string(r.index);
     out += ",\"scenario\":\"";
-    core::append_json_escaped(out, r.scenario);
+    obs::append_json_escaped(out, r.scenario);
     out += '"';
     // Quarantined jobs carry their verdict up front (identity-adjacent, part
     // of the deterministic prefix) so readers can drop them without looking
@@ -196,7 +197,7 @@ std::string to_jsonl(const JobRecord& r) {
     out += ",\"ecc_t\":" + std::to_string(r.params.ecc_t);
     out += ",\"query_budget\":" + std::to_string(r.params.query_budget);
     out += ",\"defense\":\"";
-    core::append_json_escaped(out, r.params.defense.empty() ? "none" : r.params.defense);
+    obs::append_json_escaped(out, r.params.defense.empty() ? "none" : r.params.defense);
     out += '"';
     out += ",\"trials\":" + std::to_string(r.trials);
     out += ",\"root_seed\":" + std::to_string(r.root_seed);

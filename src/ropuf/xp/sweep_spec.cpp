@@ -56,6 +56,17 @@ bool split_range(const std::string& token, std::string parts[3], int line) {
     return true;
 }
 
+/// Throws unless a range of `count` values fits on an axis already holding
+/// `held` — checked before the range expands, so an oversized range is an
+/// error instead of an allocation.
+void check_axis_room(std::size_t held, double count, const std::string& token, int line) {
+    if (!(count <= static_cast<double>(kMaxGridPoints - std::min(held, kMaxGridPoints)))) {
+        throw SpecError("axis expands to more than " + std::to_string(kMaxGridPoints) +
+                            " values: '" + token + "'",
+                        line);
+    }
+}
+
 std::vector<double> parse_double_axis(std::string_view value, int line) {
     std::vector<double> out;
     for (const auto& token : split_list(value)) {
@@ -70,8 +81,11 @@ std::vector<double> parse_double_axis(std::string_view value, int line) {
         if (step <= 0.0) throw SpecError("range step must be > 0: '" + token + "'", line);
         if (stop < start) throw SpecError("range stop < start: '" + token + "'", line);
         // Count-based expansion: immune to drift accumulating past `stop`.
-        const auto count = static_cast<long long>(std::floor((stop - start) / step + 1e-9)) + 1;
-        for (long long i = 0; i < count; ++i) out.push_back(start + static_cast<double>(i) * step);
+        const double count = std::floor((stop - start) / step + 1e-9) + 1.0;
+        check_axis_room(out.size(), count, token, line);
+        for (std::size_t i = 0; i < static_cast<std::size_t>(count); ++i) {
+            out.push_back(start + static_cast<double>(i) * step);
+        }
     }
     if (out.empty()) throw SpecError("axis expands to zero values", line);
     return out;
@@ -96,6 +110,9 @@ std::vector<int> parse_int_axis(std::string_view value, int line, int min_allowe
         const int step = static_cast<int>(
             parse_int(parts[2], 1, std::numeric_limits<int>::max(), line));
         if (stop < start) throw SpecError("range stop < start: '" + token + "'", line);
+        check_axis_room(out.size(),
+                        static_cast<double>((static_cast<long long>(stop) - start) / step) + 1.0,
+                        token, line);
         for (int v = start;; v += step) {
             out.push_back(v); // invariant: v <= stop
             if (stop - v < step) break; // the next value would pass stop (overflow-safe)
@@ -118,6 +135,8 @@ std::vector<std::uint64_t> parse_seed_axis(std::string_view value, int line) {
         const std::uint64_t step = parse_u64(parts[2], line);
         if (step == 0) throw SpecError("range step must be > 0: '" + token + "'", line);
         if (stop < start) throw SpecError("range stop < start: '" + token + "'", line);
+        check_axis_room(out.size(), static_cast<double>((stop - start) / step) + 1.0, token,
+                        line);
         for (std::uint64_t v = start;; v += step) {
             out.push_back(v); // invariant: v <= stop
             if (stop - v < step) break; // the next value would pass stop (overflow-safe)
@@ -237,6 +256,9 @@ void apply_key(SweepSpec& spec, std::vector<std::string>& seen, const std::strin
     } else {
         throw SpecError(core::unknown_name_message("spec key", key, kKnownKeys), line);
     }
+    if (grid_points(spec, 1) > kMaxGridPoints) {
+        throw SpecError("spec grid exceeds " + std::to_string(kMaxGridPoints) + " points", line);
+    }
 }
 
 void validate(const SweepSpec& spec) {
@@ -319,6 +341,19 @@ void append_axis_ints(std::string& out, const char* key, const std::vector<Int>&
 }
 
 } // namespace
+
+std::size_t grid_points(const SweepSpec& spec, std::size_t scenario_count) {
+    // points never exceeds kMaxGridPoints + 1 and n is an axis length, so
+    // the product cannot overflow before it saturates.
+    std::size_t points = std::min(scenario_count, kMaxGridPoints + 1);
+    for (const std::size_t n :
+         {spec.geometry.size(), spec.sigma_noise_mhz.size(), spec.ambient_c.size(),
+          spec.majority_wins.size(), spec.ecc.size(), spec.query_budget.size(),
+          spec.defense.size(), spec.trials.size(), spec.master_seed.size()}) {
+        points = std::min(points * n, kMaxGridPoints + 1);
+    }
+    return points;
+}
 
 SweepSpec parse_spec(std::string_view text) {
     const std::size_t first = text.find_first_not_of(" \t\r\n");

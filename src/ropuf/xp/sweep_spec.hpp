@@ -27,6 +27,7 @@
 // records and resume all key off this hash.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -71,10 +72,21 @@ struct SweepSpec {
     std::vector<std::uint64_t> master_seed{1};
 };
 
+/// The most values one axis may hold and the most grid points (jobs) one
+/// spec may plan. Range sizes are computed before they expand, so a range
+/// like `trials = 1:100000000:1` is a SpecError, not an allocation. The cap
+/// also keeps every job index within the five digits of its job ID.
+inline constexpr std::size_t kMaxGridPoints = 100000;
+
+/// The number of grid points `spec` spans for `scenario_count` resolved
+/// scenarios, saturated at kMaxGridPoints + 1.
+std::size_t grid_points(const SweepSpec& spec, std::size_t scenario_count);
+
 /// Parses spec text. Input starting with '{' is treated as a JSON object
 /// with the same keys (values: scalars, axis strings, or arrays); anything
 /// else as the line-based format. Throws SpecError on malformed ranges,
-/// unknown keys, duplicate keys, or empty axes.
+/// unknown keys, duplicate keys, empty axes, or an axis or grid larger
+/// than kMaxGridPoints.
 SweepSpec parse_spec(std::string_view text);
 
 /// Reads and parses a spec file; throws SpecError when unreadable.

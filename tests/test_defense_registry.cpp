@@ -2,14 +2,21 @@
 // spelling, refusal accounting, lockout/rate-limit bricking, MAC binding,
 // the canonical-form check and the noisy-refusal coin — plus the
 // scenario-level outcome classification the attack x defense matrix is
-// built on.
+// built on, and the paper's Section VII countermeasures (`sanity`, `mac`)
+// against real devices and the Section VI manipulations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "ropuf/attack/group_attack.hpp"
+#include "ropuf/attack/oracle.hpp"
 #include "ropuf/attack/scenarios.hpp"
+#include "ropuf/attack/seqpair_attack.hpp"
+#include "ropuf/attack/session.hpp"
 #include "ropuf/core/attack_engine.hpp"
 #include "ropuf/core/campaign.hpp"
 #include "ropuf/defense/middleware.hpp"
@@ -314,6 +321,199 @@ TEST(DefenseScenarios, DefenseNoneIsBitwiseTheUndefendedRun) {
     EXPECT_EQ(baseline.queries.min, with_none.queries.min);
     EXPECT_EQ(baseline.queries.max, with_none.queries.max);
     EXPECT_EQ(baseline.measurements.mean, with_none.measurements.mean);
+}
+
+// ---------------------------------------------------------------------------
+// Section VII countermeasures against real devices: `mac` (the authenticated
+// helper blob of Boyen et al. [1]) and `sanity` (structural validation plus
+// the distiller-coefficient bound), each wrapped around make_oracle(victim)
+// exactly as a scenario's oracle stack does.
+// ---------------------------------------------------------------------------
+
+/// What attack/scenarios.cpp's build_stack hands a defense: the
+/// construction's validator and its honest enrolled blob.
+template <core::Device Puf>
+defense::DefenseContext context_for(const Puf& puf,
+                                    const typename core::DeviceTraits<Puf>::Helper& enrolled) {
+    defense::DefenseContext ctx;
+    ctx.validator = attack::make_sanity_validator(puf);
+    ctx.enrolled = core::DeviceTraits<Puf>::store(enrolled);
+    return ctx;
+}
+
+sim::ProcessParams quiet_params() {
+    sim::ProcessParams p{};
+    p.sigma_noise_mhz = 0.02;
+    return p;
+}
+
+group::GroupPufConfig group_config() {
+    group::GroupPufConfig cfg;
+    cfg.delta_f_th = 0.15;
+    return cfg;
+}
+
+using SeqVictim = attack::SeqPairingAttack::Victim;
+using GroupVictim = attack::GroupBasedAttack::Victim;
+
+TEST(SectionSevenDefenses, HonestSeqPairingBlobPassesSanityAndMac) {
+    for (const auto& [chip_seed, enroll_seed] : {std::pair{901, 902}, std::pair{707, 708}}) {
+        const sim::RoArray chip({16, 8}, sim::ProcessParams{}, chip_seed);
+        const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
+        rng::Xoshiro256pp rng(enroll_seed);
+        const auto enrollment = puf.enroll(rng);
+        const auto ctx = context_for(puf, enrollment.helper);
+        const std::vector<Probe> honest(
+            10, attack::make_probe<pairing::SeqPairingPuf>(enrollment.helper));
+        for (const char* token : {"mac", "sanity"}) {
+            SeqVictim victim(puf, enrollment.key, enroll_seed);
+            auto applied = defense::apply_defense(token, attack::make_oracle(victim), ctx);
+            EXPECT_EQ(applied.oracle.evaluate(honest), std::vector<bool>(10, false))
+                << token << " on chip " << chip_seed;
+            EXPECT_EQ(applied.refused(), 0);
+            EXPECT_EQ(victim.queries(), 10);
+        }
+    }
+}
+
+TEST(SectionSevenDefenses, MacRefusesEveryByteFlipBeforeTheDevice) {
+    for (const auto& [chip_seed, enroll_seed, stride_div, mask] :
+         {std::tuple{903, 904, 11, 0x20}, std::tuple{707, 708, 7, 0x01}}) {
+        const sim::RoArray chip({16, 8}, sim::ProcessParams{}, chip_seed);
+        const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
+        rng::Xoshiro256pp rng(enroll_seed);
+        const auto enrollment = puf.enroll(rng);
+        const Nvm blob = pairing::serialize(enrollment.helper);
+        std::vector<Probe> tampered;
+        for (std::size_t i = 0; i < blob.bytes().size();
+             i += blob.bytes().size() / static_cast<std::size_t>(stride_div)) {
+            Nvm flipped = blob;
+            flipped.bytes()[i] ^= static_cast<std::uint8_t>(mask);
+            tampered.push_back({std::move(flipped), std::nullopt});
+        }
+        SeqVictim victim(puf, enrollment.key, enroll_seed);
+        auto mac = defense::apply_defense("mac", attack::make_oracle(victim),
+                                          context_for(puf, enrollment.helper));
+        EXPECT_EQ(mac.oracle.evaluate(tampered), std::vector<bool>(tampered.size(), true));
+        EXPECT_EQ(mac.refused(), static_cast<std::int64_t>(tampered.size()));
+        EXPECT_EQ(victim.queries(), 0) << "a refused blob never reaches the device";
+    }
+}
+
+TEST(SectionSevenDefenses, MacRefusesSwapVariantsThatSanityAccepts) {
+    // The Section VI-A manipulations: mac refuses every variant, while the
+    // structural checks cannot see a swap (the pair set is unchanged).
+    const sim::RoArray chip({16, 8}, sim::ProcessParams{}, 905);
+    const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
+    rng::Xoshiro256pp rng(906);
+    const auto enrollment = puf.enroll(rng);
+    std::vector<Probe> variants;
+    for (int j = 1; j <= 5; ++j) {
+        variants.push_back(attack::make_probe<pairing::SeqPairingPuf>(
+            attack::SeqPairingAttack::make_swap_helper(enrollment.helper, puf.code(), 0, j,
+                                                       puf.code().t())));
+    }
+    const auto ctx = context_for(puf, enrollment.helper);
+
+    SeqVictim mac_victim(puf, enrollment.key, 906);
+    auto mac = defense::apply_defense("mac", attack::make_oracle(mac_victim), ctx);
+    EXPECT_EQ(mac.oracle.evaluate(variants), std::vector<bool>(5, true));
+    EXPECT_EQ(mac.refused(), 5) << "every forged variant must die at the binding";
+    EXPECT_EQ(mac_victim.queries(), 0);
+
+    SeqVictim sanity_victim(puf, enrollment.key, 906);
+    auto sanity = defense::apply_defense("sanity", attack::make_oracle(sanity_victim), ctx);
+    (void)sanity.oracle.evaluate(variants);
+    EXPECT_EQ(sanity.refused(), 0) << "swaps are invisible to structural checks";
+    EXPECT_EQ(sanity_victim.queries(), 5);
+}
+
+TEST(SectionSevenDefenses, SanityRefusesRoReuseHelper) {
+    const sim::RoArray chip({16, 8}, sim::ProcessParams{}, 907);
+    const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
+    rng::Xoshiro256pp rng(908);
+    const auto enrollment = puf.enroll(rng);
+    auto reused = enrollment.helper;
+    reused.pairs[1] = reused.pairs[0]; // RO re-use
+    SeqVictim victim(puf, enrollment.key, 908);
+    auto sanity = defense::apply_defense("sanity", attack::make_oracle(victim),
+                                         context_for(puf, enrollment.helper));
+    EXPECT_TRUE(sanity.oracle.evaluate_one(attack::make_probe<pairing::SeqPairingPuf>(reused)));
+    EXPECT_EQ(sanity.refused(), 1);
+    EXPECT_EQ(victim.queries(), 0);
+}
+
+TEST(SectionSevenDefenses, HonestGroupBlobPassesSanityAndMac) {
+    const sim::RoArray chip({10, 4}, quiet_params(), 911);
+    const group::GroupBasedPuf puf(chip, group_config());
+    rng::Xoshiro256pp rng(912);
+    const auto enrollment = puf.enroll(rng);
+    const auto ctx = context_for(puf, enrollment.helper);
+    for (const char* token : {"mac", "sanity"}) {
+        GroupVictim victim(puf, enrollment.key, 912);
+        auto applied = defense::apply_defense(token, attack::make_oracle(victim), ctx);
+        EXPECT_FALSE(applied.oracle.evaluate_one(
+            attack::make_probe<group::GroupBasedPuf>(enrollment.helper)))
+            << token;
+        EXPECT_EQ(applied.refused(), 0);
+    }
+}
+
+TEST(SectionSevenDefenses, SanityRefusesDistillerInjectionsAtTheCoefficientBound) {
+    // Group sanity bounds |beta| by 2.5 * f_nominal (500 MHz at the default
+    // 200 MHz): the Fig. 6a surfaces die there, with a strict partition.
+    const sim::RoArray chip({10, 4}, quiet_params(), 913);
+    const group::GroupBasedPuf puf(chip, group_config());
+    rng::Xoshiro256pp rng(914);
+    const auto enrollment = puf.enroll(rng);
+    const auto instance = attack::GroupBasedAttack::build_comparison(
+        enrollment.helper, chip.geometry(), puf.code(), 3, 17, 1000.0);
+    const auto ctx = context_for(puf, enrollment.helper);
+    GroupVictim victim(puf, 914);
+    auto sanity = defense::apply_defense("sanity", attack::make_oracle(victim), ctx);
+    for (int h = 0; h < 2; ++h) {
+        EXPECT_TRUE(helperdata::check_group_assignment(instance.group_of, chip.count()).ok);
+        const Probe probe = attack::make_probe<group::GroupBasedPuf>(instance.helper[h],
+                                                                     instance.expected_key[h]);
+        const auto report = ctx.validator(probe.helper);
+        ASSERT_FALSE(report.ok);
+        EXPECT_NE(report.violations.front().find("coefficient"), std::string::npos)
+            << report.violations.front();
+        EXPECT_TRUE(sanity.oracle.evaluate_one(probe));
+    }
+    EXPECT_EQ(sanity.refused(), 2);
+    // The honest helper sails through the same check.
+    EXPECT_TRUE(ctx.validator(ctx.enrolled).ok);
+    EXPECT_EQ(victim.queries(), 0);
+}
+
+TEST(SectionSevenDefenses, MacLeavesTheGroupAttackWithoutAKey) {
+    // The Section VI-C comparison hypotheses never reach a mac-bound device...
+    const sim::RoArray chip({10, 4}, quiet_params(), 915);
+    const group::GroupBasedPuf puf(chip, group_config());
+    rng::Xoshiro256pp rng(916);
+    const auto enrollment = puf.enroll(rng);
+    const auto instance = attack::GroupBasedAttack::build_comparison(
+        enrollment.helper, chip.geometry(), puf.code(), 0, 11,
+        attack::GroupBasedAttack::Config{}.steep_amp);
+    GroupVictim victim(puf, 917);
+    auto mac = defense::apply_defense("mac", attack::make_oracle(victim),
+                                      context_for(puf, enrollment.helper));
+    for (int h = 0; h < 2; ++h) {
+        EXPECT_TRUE(mac.oracle.evaluate_one(attack::make_probe<group::GroupBasedPuf>(
+            instance.helper[h], instance.expected_key[h])));
+    }
+    EXPECT_EQ(mac.refused(), 2);
+    EXPECT_EQ(victim.queries(), 0);
+
+    // ... so the full scenario ends refused, with no key.
+    core::AttackEngine engine(attack::default_registry());
+    core::ScenarioParams params;
+    params.defense = "mac";
+    const auto report = engine.run("group/sortmerge", params);
+    EXPECT_EQ(report.outcome, core::AttackOutcome::refused_by_defense);
+    EXPECT_FALSE(report.key_recovered);
+    EXPECT_EQ(report.measurements, 0);
 }
 
 } // namespace

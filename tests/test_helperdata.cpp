@@ -128,39 +128,4 @@ TEST(Sanity, CoefficientPlausibilityBound) {
     EXPECT_FALSE(check_coefficients({1e308 * 10}, 10.0).ok); // inf
 }
 
-TEST(Authenticator, SealOpenRoundTrip) {
-    const std::vector<std::uint8_t> key{1, 2, 3, 4};
-    const HelperAuthenticator auth(key);
-    const std::vector<std::uint8_t> blob{10, 20, 30};
-    const auto sealed = auth.seal(blob);
-    EXPECT_EQ(sealed.size(), blob.size() + 32);
-    const auto opened = auth.open(sealed);
-    ASSERT_TRUE(opened.has_value());
-    EXPECT_EQ(*opened, blob);
-}
-
-TEST(Authenticator, DetectsAnySingleBitManipulation) {
-    const std::vector<std::uint8_t> key{9, 9, 9};
-    const HelperAuthenticator auth(key);
-    const std::vector<std::uint8_t> blob{1, 2, 3, 4, 5};
-    const auto sealed = auth.seal(blob);
-    for (std::size_t byte = 0; byte < sealed.size(); ++byte) {
-        auto tampered = sealed;
-        tampered[byte] ^= 0x40;
-        EXPECT_FALSE(auth.open(tampered).has_value()) << "byte " << byte;
-    }
-}
-
-TEST(Authenticator, WrongKeyRejects) {
-    const HelperAuthenticator a(std::vector<std::uint8_t>{1});
-    const HelperAuthenticator b(std::vector<std::uint8_t>{2});
-    const std::vector<std::uint8_t> blob{7, 7};
-    EXPECT_FALSE(b.open(a.seal(blob)).has_value());
-}
-
-TEST(Authenticator, TooShortInputRejected) {
-    const HelperAuthenticator auth(std::vector<std::uint8_t>{1});
-    EXPECT_FALSE(auth.open(std::vector<std::uint8_t>(16, 0)).has_value());
-}
-
 } // namespace

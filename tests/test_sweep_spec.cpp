@@ -244,6 +244,43 @@ TEST(SweepSpec, SeedsBeyondU64AreErrorsNotClampedAliases) {
     EXPECT_EQ(widest.master_seed, std::vector<std::uint64_t>{18446744073709551615ull});
 }
 
+TEST(SweepSpec, OversizedAxesAndGridsAreLineNumberedErrors) {
+    const auto error_line = [](const std::string& text) {
+        try {
+            (void)parse_spec(text);
+        } catch (const SpecError& e) {
+            return e.line();
+        }
+        return -1; // accepted
+    };
+    // One value past the cap, for each kind of range.
+    EXPECT_EQ(error_line("name=x\nscenarios=all\ntrials=1:100001:1\n"), 3);
+    EXPECT_EQ(error_line("name=x\nscenarios=all\nmaster_seed=0:100000:1\n"), 3);
+    EXPECT_EQ(error_line("name=x\nscenarios=all\nsigma_noise_mhz=0:100000:1\n"), 3);
+    // Ranges that would exhaust memory fail before they expand.
+    EXPECT_EQ(error_line("name=x\nscenarios=all\ntrials=1:100000000:1\n"), 3);
+    EXPECT_EQ(error_line("name=x\nscenarios=all\nmaster_seed=0:18446744073709551615:1\n"), 3);
+    EXPECT_EQ(error_line("name=x\nscenarios=all\nambient_c=0:1:1e-300\n"), 3);
+    EXPECT_THROW(parse_spec(R"({"name":"x","scenarios":"all","trials":"1:100000000:1"})"),
+                 SpecError);
+    // Axes within the cap whose product is not: the line that crosses it.
+    EXPECT_EQ(error_line("name=x\nscenarios=all\nsigma_noise_mhz=1:1000:1\n"
+                         "trials=1:1000:1\n"),
+              4);
+    // The cap itself is a valid axis.
+    EXPECT_EQ(parse_spec("name=x\nscenarios=all\ntrials=1:100000:1\n").trials.size(),
+              xp::kMaxGridPoints);
+}
+
+TEST(SweepSpec, PlannerRejectsGridsThatResolvedScenariosPushPastTheCap) {
+    const auto& registry = attack::default_registry();
+    ASSERT_GT(registry.size(), 5u);
+    const SweepSpec spec = parse_spec("name=x\nscenarios=all\ntrials=1:20000:1\n");
+    EXPECT_THROW((void)plan_spec(spec, registry), SpecError);
+    const SweepSpec one = parse_spec("name=x\nscenarios=seqpair/swap\ntrials=1:20000:1\n");
+    EXPECT_EQ(plan_spec(one, registry).jobs.size(), 20000u);
+}
+
 TEST(SpecGrammar, SharedLineReaderSplitsTrimsAndRejects) {
     const auto lines = xp::read_spec_lines(
         "# header\n"

@@ -22,11 +22,11 @@ This linter turns the conventions into mechanically enforced rules:
                        place. std::thread::hardware_concurrency and
                        std::this_thread stay legal everywhere.
   unordered-iteration  A function that serializes (calls
-                       append_json_escaped / to_json / to_jsonl /
-                       append_trace_escaped) must not iterate an
-                       unordered_map/unordered_set: iteration order is
-                       hash-seed dependent, so the bytes it writes would
-                       differ across hosts and stdlib versions.
+                       append_json_escaped / to_json / to_jsonl) must
+                       not iterate an unordered_map/unordered_set:
+                       iteration order is hash-seed dependent, so the
+                       bytes it writes would differ across hosts and
+                       stdlib versions.
   jsonl-key-registry   Every key the JSONL record serializer emits must be
                        registered: either in the deterministic-prefix
                        contract (DETERMINISTIC_KEYS / SIDE_FIELDS below)
@@ -116,7 +116,7 @@ THREAD_SPAWN_ALLOWLIST = (
 )
 
 SERIALIZER_CALLS = re.compile(
-    r"\b(?:append_json_escaped|append_trace_escaped|to_json|to_jsonl)\s*\(")
+    r"\b(?:append_json_escaped|to_json|to_jsonl)\s*\(")
 
 RANGE_FOR = re.compile(r"\bfor\s*\(([^;{]*?):([^)]*)\)")
 UNORDERED_DECL = re.compile(
@@ -150,9 +150,8 @@ ALLOWED_DEPS = {
     "fleet": {"core", "fi", "obs", "rng", "sim", "xp"},
     "fuzzy": {"bits", "ecc", "hash", "helperdata"},
     "group": {"bits", "core", "distiller", "ecc", "helperdata", "sim", "stats"},
-    "hardened": {"group", "helperdata", "pairing"},
     "hash": set(),
-    "helperdata": {"bits", "hash", "rng"},
+    "helperdata": {"bits", "rng"},
     "obs": set(),
     "pairing": {"bits", "core", "distiller", "ecc", "helperdata", "obs", "sim",
                 "simd"},
