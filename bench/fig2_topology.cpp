@@ -5,6 +5,8 @@
 // distiller polynomial, and show the residual is the random component.
 #include "bench_util.hpp"
 
+#include <cmath>
+
 #include "ropuf/distiller/regression.hpp"
 #include "ropuf/sim/ro_array.hpp"
 #include "ropuf/stats/estimators.hpp"
@@ -24,11 +26,13 @@ int main() {
 
     benchutil::section("distiller fits (Section V-A: p = 2 and 3 recommended)");
     std::printf("  %8s %12s %22s\n", "degree", "coeffs", "residual RMS (MHz)");
+    double fit_rms[4] = {};
     for (int degree : {0, 1, 2, 3}) {
         const auto surface = distiller::fit(g, freqs, degree);
         const auto resid = distiller::residuals(g, freqs, surface);
+        fit_rms[degree] = distiller::rms(resid);
         std::printf("  %8d %12d %22.4f\n", degree, distiller::coefficient_count(degree),
-                    distiller::rms(resid));
+                    fit_rms[degree]);
     }
 
     const auto surface = distiller::fit(g, freqs, 2);
@@ -49,6 +53,16 @@ int main() {
     std::printf("  true random-component sigma : %.4f MHz\n", ran.stddev());
     std::printf("  residual-vs-truth error RMS : %.4f MHz (fit removes the trend)\n",
                 sys_err.stddev());
+    // "Close" allows 10%: a degree-p fit absorbs (p+1)(p+2)/2 of the 128
+    // degrees of freedom and the 32-sample enrollment average keeps some
+    // measurement noise.
+    const double sigma = ran.stddev();
+    const bool falls = fit_rms[2] < fit_rms[0];
+    bool close = true;
+    for (int degree : {2, 3}) close = close && std::abs(fit_rms[degree] - sigma) <= 0.1 * sigma;
     std::printf("\n[shape check] residual RMS ~ sigma_random once degree >= 2.\n");
-    return 0;
+    std::printf("              RMS falls from degree 0 to 2: %s; within 10%% of sigma_random "
+                "(%.4f MHz) at degree >= 2: %s\n",
+                falls ? "yes" : "NO", sigma, close ? "yes" : "NO");
+    return falls && close ? 0 : 1;
 }

@@ -78,6 +78,11 @@ int main() {
     std::printf("  %-24s %14zu %14d\n", "fuzzy extractor", enrollment.helper.offset.size(), 256);
     std::printf("  (attacked schemes store pair lists / group maps / coefficients on top\n");
     std::printf("   of ECC redundancy — see Section VII's efficiency discussion)\n");
+    const bool flips_shift_key = flips_ok.rate() == 1.0;
+    const bool all_rejected = detected == trials;
     std::printf("\n[shape check] same reliability, manipulation yields DoS at worst.\n");
-    return 0;
+    std::printf("              every offset flip decodes to a shifted key: %s; the robust tag "
+                "rejects every manipulation: %s\n",
+                flips_shift_key ? "yes" : "NO", all_rejected ? "yes" : "NO");
+    return flips_shift_key && all_rejected ? 0 : 1;
 }

@@ -37,6 +37,8 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+// The per-probe regeneration kernels (encode, decode, distiller
+// subtraction); items = codeword bits or ROs.
 void BM_BchEncode(benchmark::State& state) {
     const ecc::BchCode code(static_cast<int>(state.range(0)), 3);
     rng::Xoshiro256pp rng(1);
@@ -44,6 +46,7 @@ void BM_BchEncode(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.encode(msg));
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * code.n());
 }
 BENCHMARK(BM_BchEncode)->Arg(5)->Arg(6)->Arg(8);
 
@@ -56,8 +59,26 @@ void BM_BchDecodeTErrors(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.decode(received));
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * code.n());
 }
 BENCHMARK(BM_BchDecodeTErrors)->Arg(5)->Arg(6)->Arg(8);
+
+void BM_DistillerResiduals(benchmark::State& state) {
+    // Arg = surface degree; 16 is the largest a coefficient count implies.
+    const sim::ArrayGeometry g{16, 32};
+    const sim::RoArray chip(g, sim::ProcessParams{}, 3);
+    rng::Xoshiro256pp rng(4);
+    const auto freqs = chip.enroll_frequencies(sim::Condition{}, 4, rng);
+    const int degree = static_cast<int>(state.range(0));
+    std::vector<double> beta(static_cast<std::size_t>(distiller::coefficient_count(degree)));
+    for (auto& b : beta) b = rng.gaussian(0.0, 1e-3);
+    const distiller::PolySurface surface(degree, beta);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(distiller::residuals(g, freqs, surface));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * g.count());
+}
+BENCHMARK(BM_DistillerResiduals)->Arg(2)->Arg(16);
 
 void BM_DistillerFit(benchmark::State& state) {
     const sim::ArrayGeometry g{16, 32};

@@ -261,14 +261,14 @@ Sub<bool> GroupSession::cmp_labels(int la, int lb, const std::vector<int>& label
 }
 
 SessionBody GroupSession::body() {
-    const auto members = group::members_from_assignment(pristine_.group_of);
-    groups_total_ = static_cast<int>(members.size());
+    const auto groups = group::partition_from_assignment(pristine_.group_of).value();
+    groups_total_ = groups.groups();
 
     bool all_resolved = true;
     bits::BitVec key;
-    for (const auto& grp : members) {
-        std::vector<int> labels = grp;
-        std::sort(labels.begin(), labels.end());
+    for (int gi = 0; gi < groups.groups(); ++gi) {
+        // Canonical labels: the group's members in ascending RO index.
+        const std::vector<int> labels(groups.members(gi).begin(), groups.members(gi).end());
         const int g = static_cast<int>(labels.size());
         if (g == 1) continue;
 

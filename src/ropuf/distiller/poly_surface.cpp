@@ -1,5 +1,6 @@
 #include "ropuf/distiller/poly_surface.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -38,10 +39,65 @@ double PolySurface::operator()(double x, double y) const {
     return acc;
 }
 
+namespace {
+
+/// std::pow(c, k) for every column and row coordinate c of one geometry and
+/// every k up to the highest degree evaluated on it so far. The tables hold
+/// std::pow results, not integer powers: the degree follows the coefficient
+/// count up to 16, and 31^16 is far past 2^53.
+struct PowerTables {
+    int cols = -1;
+    int rows = -1;
+    int degree = -1;
+    std::vector<double> x; // x[k * cols + c] = c^k
+    std::vector<double> y; // y[k * rows + r] = r^k
+
+    void cover(const sim::ArrayGeometry& g, int need) {
+        if (g.cols != cols || g.rows != rows) {
+            cols = g.cols;
+            rows = g.rows;
+            degree = -1;
+            x.clear();
+            y.clear();
+        }
+        for (int k = degree + 1; k <= need; ++k) {
+            for (int c = 0; c < cols; ++c) x.push_back(std::pow(static_cast<double>(c), k));
+            for (int r = 0; r < rows; ++r) y.push_back(std::pow(static_cast<double>(r), k));
+        }
+        degree = std::max(degree, need);
+    }
+};
+
+/// Each thread keeps the tables of the last geometry it evaluated, so the
+/// per-probe distiller subtraction makes no libm call.
+const PowerTables& power_tables(const sim::ArrayGeometry& g, int degree) {
+    thread_local PowerTables tables;
+    tables.cover(g, degree);
+    return tables;
+}
+
+} // namespace
+
 std::vector<double> PolySurface::evaluate_grid(const sim::ArrayGeometry& g) const {
-    std::vector<double> out(static_cast<std::size_t>(g.count()));
-    for (int idx = 0; idx < g.count(); ++idx) {
-        out[static_cast<std::size_t>(idx)] = (*this)(g.x_of(idx), g.y_of(idx));
+    // Coordinates are integers, so every monomial is a product of two table
+    // entries: the same std::pow doubles operator() computes. Term-major:
+    // each cell still adds its terms to 0.0 in coefficient order, as
+    // (beta * x^(i-j)) * y^j, so every value is bitwise equal to operator();
+    // the inner loop runs over independent cells of a row.
+    const PowerTables& pow = power_tables(g, degree_);
+    const auto cols = static_cast<std::size_t>(g.cols);
+    const auto rows = static_cast<std::size_t>(g.rows);
+    std::vector<double> out(static_cast<std::size_t>(g.count()), 0.0);
+    for (int i = 0; i <= degree_; ++i) {
+        for (int j = 0; j <= i; ++j) {
+            const double b = beta_[static_cast<std::size_t>(coefficient_index(i, j))];
+            const double* const xk = pow.x.data() + static_cast<std::size_t>(i - j) * cols;
+            const double* const yk = pow.y.data() + static_cast<std::size_t>(j) * rows;
+            for (std::size_t y = 0; y < rows; ++y) {
+                double* const row = out.data() + y * cols;
+                for (std::size_t x = 0; x < cols; ++x) row[x] += b * xk[x] * yk[y];
+            }
+        }
     }
     return out;
 }

@@ -35,7 +35,8 @@ public:
 
     double operator()(double x, double y) const;
 
-    /// Evaluates the surface at every cell of an array, row-major.
+    /// Evaluates the surface at every cell of an array, row-major; each
+    /// value is bitwise equal to operator() at that cell.
     std::vector<double> evaluate_grid(const sim::ArrayGeometry& g) const;
 
     /// Pointwise sum / difference (degrees are promoted to the larger one).

@@ -90,11 +90,8 @@ PolySurface fit(const sim::ArrayGeometry& g, std::span<const double> freqs, int 
 std::vector<double> residuals(const sim::ArrayGeometry& g, std::span<const double> freqs,
                               const PolySurface& surface) {
     assert(static_cast<int>(freqs.size()) == g.count());
-    std::vector<double> out(freqs.size());
-    for (int idx = 0; idx < g.count(); ++idx) {
-        out[static_cast<std::size_t>(idx)] =
-            freqs[static_cast<std::size_t>(idx)] - surface(g.x_of(idx), g.y_of(idx));
-    }
+    std::vector<double> out = surface.evaluate_grid(g);
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = freqs[i] - out[i];
     return out;
 }
 

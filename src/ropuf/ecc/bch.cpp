@@ -1,6 +1,7 @@
 #include "ropuf/ecc/bch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <set>
 #include <stdexcept>
@@ -23,6 +24,26 @@ std::vector<std::uint8_t> gf2_poly_mul(const std::vector<std::uint8_t>& a,
     }
     return out;
 }
+
+/// Bytes of the longest word the syndrome kernel packs (n = 2^14 - 1).
+constexpr std::size_t kMaxWordBytes = ((std::size_t{1} << 14) - 1 + 7) / 8;
+
+/// Decoder scratch ints: on the stack up to kInline (every t <= 56), on the
+/// heap beyond.
+class Scratch {
+public:
+    explicit Scratch(std::size_t count)
+        : data_(count <= kInline ? inline_.data() : (heap_.resize(count), heap_.data())) {}
+    Scratch(const Scratch&) = delete; // data_ may point into inline_
+    Scratch& operator=(const Scratch&) = delete;
+    int* data() { return data_; }
+
+private:
+    static constexpr std::size_t kInline = 512;
+    std::array<int, kInline> inline_;
+    std::vector<int> heap_;
+    int* data_;
+};
 
 } // namespace
 
@@ -67,6 +88,11 @@ BchCode::BchCode(int m, int t) : field_(m), n_(field_.n()), t_(t) {
     k_ = n_ - deg;
     if (k_ < 1) {
         throw std::invalid_argument("BCH(m,t): generator degree leaves no message bits");
+    }
+    if (deg <= 63) {
+        for (int i = 0; i < deg; ++i) {
+            if (generator_[static_cast<std::size_t>(i)]) generator_taps_ |= std::uint64_t{1} << i;
+        }
     }
     build_horner_tables();
 }
@@ -142,11 +168,25 @@ bits::BitVec BchCode::encode(const bits::BitVec& message) const {
 bits::BitVec BchCode::parity(const bits::BitVec& message) const {
     assert(static_cast<int>(message.size()) == k_);
     // Systematic encoding: remainder of m(x) * x^(n-k) divided by g(x).
-    // Work MSB-first: rem holds the running remainder of length n-k.
     // Premultiplied LFSR division circuit: clocking in the k message bits
-    // leaves rem = m(x) * x^(n-k) mod g(x).
+    // (MSB-first) leaves rem = m(x) * x^(n-k) mod g(x), rem[0] the top bit.
     const int p = parity_bits();
     bits::BitVec rem(static_cast<std::size_t>(p), 0);
+    if (p <= 63) {
+        // The whole register in one word: bit p-1-j holds rem[j].
+        const std::uint64_t top = std::uint64_t{1} << (p - 1);
+        const std::uint64_t mask = (top << 1) - 1;
+        std::uint64_t reg = 0;
+        for (int i = 0; i < k_; ++i) {
+            const std::uint64_t in = message[static_cast<std::size_t>(i)] & 1u;
+            const std::uint64_t feedback = ((reg >> (p - 1)) ^ in) & 1u;
+            reg = ((reg << 1) & mask) ^ (feedback ? generator_taps_ : 0);
+        }
+        for (int j = 0; j < p; ++j) {
+            rem[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>((reg >> (p - 1 - j)) & 1u);
+        }
+        return rem;
+    }
     for (int i = 0; i < k_; ++i) {
         const std::uint8_t in = message[static_cast<std::size_t>(i)];
         const std::uint8_t feedback = static_cast<std::uint8_t>(rem[0] ^ in);
@@ -162,91 +202,108 @@ bits::BitVec BchCode::parity(const bits::BitVec& message) const {
     return rem;
 }
 
-std::optional<std::vector<int>> BchCode::syndromes(const bits::BitVec& received) const {
-    assert(static_cast<int>(received.size()) == n_);
-    // Byte-wise table-driven Horner through the simd kernel layer: 8 bits per
-    // GF(2^m) step instead of one table lookup per set bit.
-    const auto bytes = bits::pack_bytes(received);
-    std::vector<int> s(static_cast<std::size_t>(2 * t_), 0);
+bool BchCode::syndromes(std::span<const std::uint8_t> word, int* s) const {
+    assert(static_cast<int>(word.size()) == n_);
+    // Pack MSB-first into a stack buffer, then run the byte-wise
+    // table-driven Horner of the simd kernel layer: 8 bits per GF(2^m) step
+    // instead of one table lookup per set bit.
+    std::array<std::uint8_t, kMaxWordBytes> bytes;
+    const std::size_t n_bytes = (word.size() + 7) / 8;
+    std::fill_n(bytes.begin(), n_bytes, std::uint8_t{0});
+    for (std::size_t i = 0; i < word.size(); ++i) {
+        if (word[i]) bytes[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+    }
     ROPUF_OBS_COUNT("simd.calls.bch_syndromes", 1);
-    simd::kernels().bch_syndromes(bytes.data(), bytes.size(), horner_view(), s.data());
-    bool any = false;
-    for (const int v : s) any |= (v != 0);
-    if (!any) return std::nullopt;
-    return s;
+    simd::kernels().bch_syndromes(bytes.data(), n_bytes, horner_view(), s);
+    return std::any_of(s, s + 2 * t_, [](int v) { return v != 0; });
 }
 
 BchCode::DecodeResult BchCode::decode(const bits::BitVec& received) const {
-    assert(static_cast<int>(received.size()) == n_);
-    const auto synd = syndromes(received);
-    if (!synd) return {true, received, 0};
-    const std::vector<int>& s = *synd;
+    DecodeResult out;
+    out.codeword = received;
+    const int flips = correct(out.codeword);
+    out.ok = flips >= 0;
+    out.corrected = std::max(flips, 0);
+    return out;
+}
+
+int BchCode::correct(std::span<std::uint8_t> word) const {
+    assert(static_cast<int>(word.size()) == n_);
+    // Scratch layout: syndromes [2t]; sigma, prev and spare [2t+1 each] for
+    // Berlekamp–Massey (no locator outgrows degree 2t); error positions [t].
+    const int n_synd = 2 * t_;
+    const int width = n_synd + 1;
+    Scratch scratch(static_cast<std::size_t>(n_synd + 3 * width + t_));
+    int* const s = scratch.data();
+    if (!syndromes(word, s)) return 0;
+    int* sigma = s + n_synd;  // current locator, zero past its degree
+    int* prev = sigma + width; // locator before the last length change
+    int* spare = prev + width;
+    int* const positions = spare + width;
+    std::fill_n(sigma, 2 * width, 0);
+    sigma[0] = 1;
+    prev[0] = 1;
 
     // Berlekamp–Massey: find the error-locator polynomial sigma(x) with
     // sigma(0) = 1 whose feedback taps annihilate the syndrome sequence.
-    std::vector<int> sigma{1};     // current locator
-    std::vector<int> prev{1};     // locator before the last length change
-    int l = 0;                     // current LFSR length
-    int shift = 1;                 // steps since the last length change
-    int prev_discrepancy = 1;      // discrepancy at the last length change
-    for (int r = 0; r < 2 * t_; ++r) {
+    int l = 0;                // current LFSR length
+    int shift = 1;            // steps since the last length change
+    int prev_discrepancy = 1; // discrepancy at the last length change
+    for (int r = 0; r < n_synd; ++r) {
         // Discrepancy d = S_r + sum_i sigma_i * S_{r-i}.
-        int d = s[static_cast<std::size_t>(r)];
-        for (int i = 1; i <= l && i <= r; ++i) {
-            if (static_cast<std::size_t>(i) < sigma.size()) {
-                d ^= field_.mul(sigma[static_cast<std::size_t>(i)],
-                                s[static_cast<std::size_t>(r - i)]);
-            }
-        }
+        int d = s[r];
+        for (int i = 1; i <= l && i <= r; ++i) d ^= field_.mul(sigma[i], s[r - i]);
         if (d == 0) {
             ++shift;
             continue;
         }
         // sigma' = sigma - (d/prev_d) * x^shift * prev
-        std::vector<int> next = sigma;
         const int scale = field_.div(d, prev_discrepancy);
-        if (next.size() < prev.size() + static_cast<std::size_t>(shift)) {
-            next.resize(prev.size() + static_cast<std::size_t>(shift), 0);
-        }
-        for (std::size_t i = 0; i < prev.size(); ++i) {
-            next[i + static_cast<std::size_t>(shift)] ^= field_.mul(scale, prev[i]);
-        }
-        if (2 * l <= r) {
-            prev = sigma;
+        const bool lengthen = 2 * l <= r;
+        if (lengthen) std::copy_n(sigma, width, spare);
+        for (int i = 0; i + shift < width; ++i) sigma[i + shift] ^= field_.mul(scale, prev[i]);
+        if (lengthen) {
+            std::swap(prev, spare); // prev = sigma before this step
             prev_discrepancy = d;
             l = r + 1 - l;
             shift = 1;
         } else {
             ++shift;
         }
-        sigma = std::move(next);
     }
-    // Trim trailing zeros to get the true degree.
-    while (sigma.size() > 1 && sigma.back() == 0) sigma.pop_back();
-    const int degree = static_cast<int>(sigma.size()) - 1;
-    if (degree > t_ || degree != l) {
-        return {false, received, 0};
-    }
+    int degree = n_synd;
+    while (degree > 0 && sigma[degree] == 0) --degree;
+    if (degree > t_ || degree != l) return -1;
 
-    // Chien search: roots alpha^(-e) of sigma locate errors at x^e.
-    bits::BitVec corrected = received;
+    // Chien search: roots alpha^(-e) of sigma locate errors at x^e. In the
+    // log domain term i of sigma(alpha^-e) is alpha^(log sigma_i - i*e), so
+    // each step subtracts i from the logs instead of re-evaluating sigma.
+    int* const term_log = spare; // -1 marks a zero coefficient
+    for (int i = 1; i <= degree; ++i) term_log[i] = sigma[i] == 0 ? -1 : field_.log(sigma[i]);
+    const int* const exp = field_.exp_table().data();
     int found = 0;
     for (int e = 0; e < n_; ++e) {
-        const int x = field_.alpha_pow(((n_ - e) % n_));
-        if (field_.eval_poly(sigma, x) == 0) {
-            const int bit_index = n_ - 1 - e;
-            corrected[static_cast<std::size_t>(bit_index)] ^= 1u;
-            ++found;
+        int value = 1; // sigma_0
+        for (int i = 1; i <= degree; ++i) {
+            if (term_log[i] < 0) continue;
+            value ^= exp[term_log[i]];
+            term_log[i] -= i;
+            if (term_log[i] < 0) term_log[i] += n_;
+        }
+        if (value == 0) {
+            // A nonzero polynomial has at most `degree` <= t roots.
+            assert(found < degree);
+            positions[found++] = n_ - 1 - e;
         }
     }
-    if (found != degree) {
-        return {false, received, 0};
+    if (found != degree) return -1;
+    for (int f = 0; f < found; ++f) word[static_cast<std::size_t>(positions[f])] ^= 1u;
+    // A valid correction must restore a codeword (all syndromes zero).
+    if (syndromes(word, s)) {
+        for (int f = 0; f < found; ++f) word[static_cast<std::size_t>(positions[f])] ^= 1u;
+        return -1;
     }
-    // A valid correction must restore a codeword.
-    if (!is_codeword(corrected)) {
-        return {false, received, 0};
-    }
-    return {true, corrected, found};
+    return found;
 }
 
 bits::BitVec BchCode::message_of(const bits::BitVec& codeword) const {
@@ -255,7 +312,8 @@ bits::BitVec BchCode::message_of(const bits::BitVec& codeword) const {
 }
 
 bool BchCode::is_codeword(const bits::BitVec& word) const {
-    return !syndromes(word).has_value();
+    Scratch scratch(static_cast<std::size_t>(2 * t_));
+    return !syndromes(word, scratch.data());
 }
 
 } // namespace ropuf::ecc

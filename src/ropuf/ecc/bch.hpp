@@ -11,7 +11,8 @@
 // n-k bits are parity.
 #pragma once
 
-#include <optional>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
@@ -55,6 +56,11 @@ public:
     /// possible when more than t errors occurred, exactly as in hardware.
     DecodeResult decode(const bits::BitVec& received) const;
 
+    /// decode() in place: corrects the length-n `word` and returns the number
+    /// of flipped bits, or -1 on decoder failure with `word` left unchanged.
+    /// Needs no heap memory for t <= 56.
+    int correct(std::span<std::uint8_t> word) const;
+
     /// Extracts the k message bits from a codeword.
     bits::BitVec message_of(const bits::BitVec& codeword) const;
 
@@ -68,8 +74,9 @@ public:
     simd::BchHornerView horner_view() const;
 
 private:
-    /// Syndromes S_1..S_2t of the received word; nullopt when all zero.
-    std::optional<std::vector<int>> syndromes(const bits::BitVec& received) const;
+    /// Writes the syndromes S_1..S_2t of a length-n word into `s`; true when
+    /// any is nonzero (the word is not a codeword).
+    bool syndromes(std::span<const std::uint8_t> word, int* s) const;
 
     /// Builds the byte-wise Horner tables the syndrome kernel consumes.
     void build_horner_tables();
@@ -79,6 +86,9 @@ private:
     int t_;
     int k_;
     std::vector<std::uint8_t> generator_; // GF(2) coefficients, degree n-k
+    // g(x) without its leading term, bit i = coefficient of x^i: the
+    // one-register LFSR taps parity() uses when n-k <= 63.
+    std::uint64_t generator_taps_ = 0;
 
     // Syndrome kernel tables (see build_horner_tables for the math).
     std::vector<std::uint16_t> horner_byte_tbl_;  // [2t][256]

@@ -40,8 +40,9 @@ public:
 
     int mul(int a, int b) const {
         if (a == 0 || b == 0) return 0;
-        return exp_[static_cast<std::size_t>((log_[static_cast<std::size_t>(a)] +
-                                              log_[static_cast<std::size_t>(b)]) % n())];
+        // Two logs sum to at most 2n - 2, inside the doubled exp table.
+        return exp_[static_cast<std::size_t>(log_[static_cast<std::size_t>(a)] +
+                                             log_[static_cast<std::size_t>(b)])];
     }
 
     /// Multiplicative inverse of a nonzero element.
@@ -56,8 +57,8 @@ public:
     /// Evaluates a polynomial with coefficients coeffs[i] of x^i at point x.
     int eval_poly(const std::vector<int>& coeffs, int x) const;
 
-    /// Raw exp table (exp_table()[e] = alpha^e for e in [0, n)); consumed by
-    /// the table-driven syndrome kernel.
+    /// Raw exp table (exp_table()[e] = alpha^e for e in [0, 2n)); consumed
+    /// by the table-driven syndrome kernel and the BCH decoder.
     const std::vector<int>& exp_table() const { return exp_; }
 
     /// Raw log table (log_table()[x] = log of x for x in [1, 2^m)).
@@ -67,7 +68,7 @@ private:
     int m_;
     int size_;
     std::uint32_t prim_poly_;
-    std::vector<int> exp_; // exp_[e] = alpha^e, e in [0, n)
+    std::vector<int> exp_; // exp_[e] = alpha^e, e in [0, 2n): no modulo in mul
     std::vector<int> log_; // log_[x] = e with alpha^e = x, x in [1, 2^m)
 };
 

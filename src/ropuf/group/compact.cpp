@@ -23,7 +23,7 @@ int compact_bits(int g) {
     return b;
 }
 
-std::uint64_t lehmer_rank(const Order& order) {
+std::uint64_t lehmer_rank(std::span<const int> order) {
     const int g = static_cast<int>(order.size());
     std::uint64_t rank = 0;
     for (int r = 0; r < g; ++r) {
@@ -56,8 +56,18 @@ Order lehmer_unrank(std::uint64_t rank, int g) {
 }
 
 bits::BitVec compact_encode(const Order& order) {
-    const int g = static_cast<int>(order.size());
-    return bits::from_u64(lehmer_rank(order), static_cast<std::size_t>(compact_bits(g)));
+    bits::BitVec code(static_cast<std::size_t>(compact_bits(static_cast<int>(order.size()))));
+    compact_encode(order, code);
+    return code;
+}
+
+void compact_encode(std::span<const int> order, std::span<std::uint8_t> code) {
+    assert(static_cast<int>(code.size()) == compact_bits(static_cast<int>(order.size())));
+    const std::uint64_t rank = lehmer_rank(order);
+    const std::size_t nbits = code.size();
+    for (std::size_t i = 0; i < nbits; ++i) {
+        code[nbits - 1 - i] = static_cast<std::uint8_t>((rank >> i) & 1u);
+    }
 }
 
 CompactDecode compact_decode(const bits::BitVec& code, int g) {

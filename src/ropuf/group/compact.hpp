@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "ropuf/bits/bitvec.hpp"
 #include "ropuf/group/kendall.hpp"
@@ -24,13 +25,16 @@ std::uint64_t factorial(int g);
 int compact_bits(int g);
 
 /// Lexicographic rank of a permutation (Lehmer code).
-std::uint64_t lehmer_rank(const Order& order);
+std::uint64_t lehmer_rank(std::span<const int> order);
 
 /// Inverse of lehmer_rank.
 Order lehmer_unrank(std::uint64_t rank, int g);
 
 /// Encodes an order as its rank, MSB-first in compact_bits(g) bits.
 bits::BitVec compact_encode(const Order& order);
+
+/// compact_encode into caller storage: `code` holds compact_bits(g) bits.
+void compact_encode(std::span<const int> order, std::span<std::uint8_t> code);
 
 /// Decodes a compact vector; ranks >= g! (unused codepoints) return the
 /// identity order of rank 0 after reduction modulo g! — flagged via `valid`.

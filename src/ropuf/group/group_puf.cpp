@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
+#include <numeric>
 
 #include "ropuf/helperdata/formats.hpp"
 
@@ -11,39 +11,55 @@ namespace ropuf::group {
 GroupBasedPuf::GroupBasedPuf(const sim::RoArray& array, const GroupPufConfig& config)
     : array_(&array), config_(config), code_(config.ecc_m, config.ecc_t) {}
 
-int GroupBasedPuf::kendall_bits_of(const std::vector<std::vector<int>>& members) {
+namespace {
+
+int largest_group(const Partition& groups) {
+    int largest = 0;
+    for (int j = 0; j < groups.groups(); ++j) largest = std::max(largest, groups.size_of(j));
+    return largest;
+}
+
+} // namespace
+
+int GroupBasedPuf::kendall_bits_of(const Partition& groups) {
     int total = 0;
-    for (const auto& m : members) total += kendall_bits(static_cast<int>(m.size()));
+    for (int j = 0; j < groups.groups(); ++j) total += kendall_bits(groups.size_of(j));
     return total;
 }
 
-int GroupBasedPuf::key_bits_of(const std::vector<std::vector<int>>& members) {
+int GroupBasedPuf::key_bits_of(const Partition& groups) {
     int total = 0;
-    for (const auto& m : members) total += compact_bits(static_cast<int>(m.size()));
+    for (int j = 0; j < groups.groups(); ++j) total += compact_bits(groups.size_of(j));
     return total;
 }
 
-GroupBasedPuf::Coded GroupBasedPuf::encode_groups(const std::vector<std::vector<int>>& members,
-                                                  const std::vector<double>& residuals) {
+GroupBasedPuf::Coded GroupBasedPuf::encode_groups(const Partition& groups,
+                                                  std::span<const double> residuals) {
     Coded out;
-    for (const auto& group : members) {
+    out.kendall.resize(static_cast<std::size_t>(kendall_bits_of(groups)));
+    out.key.resize(static_cast<std::size_t>(key_bits_of(groups)));
+    std::vector<int> scratch(static_cast<std::size_t>(largest_group(groups)));
+    std::size_t kendall_at = 0;
+    std::size_t key_at = 0;
+    for (int j = 0; j < groups.groups(); ++j) {
         // Canonical labels: group members in ascending RO index.
-        std::vector<int> labels = group;
-        std::sort(labels.begin(), labels.end());
+        const std::span<const int> labels = groups.members(j);
         const int g = static_cast<int>(labels.size());
         // Frequency order: labels sorted by residual, descending.
-        Order order(static_cast<std::size_t>(g));
-        for (int l = 0; l < g; ++l) order[static_cast<std::size_t>(l)] = l;
+        const std::span<int> order(scratch.data(), labels.size());
+        std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(), [&](int la, int lb) {
             const double va = residuals[static_cast<std::size_t>(labels[static_cast<std::size_t>(la)])];
             const double vb = residuals[static_cast<std::size_t>(labels[static_cast<std::size_t>(lb)])];
             if (va != vb) return va > vb;
             return la < lb;
         });
-        const auto kendall = kendall_encode(order);
-        out.kendall.insert(out.kendall.end(), kendall.begin(), kendall.end());
-        const auto packed = compact_encode(order);
-        out.key.insert(out.key.end(), packed.begin(), packed.end());
+        const auto kb = static_cast<std::size_t>(kendall_bits(g));
+        kendall_encode(order, std::span(out.kendall).subspan(kendall_at, kb));
+        kendall_at += kb;
+        const auto cb = static_cast<std::size_t>(compact_bits(g));
+        compact_encode(order, std::span(out.key).subspan(key_at, cb));
+        key_at += cb;
     }
     return out;
 }
@@ -58,7 +74,7 @@ GroupBasedPuf::Enrollment GroupBasedPuf::enroll(rng::Xoshiro256pp& rng) const {
     out.helper.beta = surface.beta();
     out.helper.group_of = out.grouping.group_of;
 
-    const auto coded = encode_groups(out.grouping.members, resid);
+    const auto coded = encode_groups(*partition_from_assignment(out.grouping.group_of), resid);
     out.kendall_ref = coded.kendall;
     out.key = coded.key;
     out.helper.ecc = ecc::BlockEcc(code_).enroll(out.kendall_ref);
@@ -67,16 +83,13 @@ GroupBasedPuf::Enrollment GroupBasedPuf::enroll(rng::Xoshiro256pp& rng) const {
 
 bool GroupBasedPuf::helper_consistent(const GroupPufHelper& helper) const {
     if (static_cast<int>(helper.group_of.size()) != array_->count()) return false;
-    std::vector<std::vector<int>> members;
-    try {
-        members = members_from_assignment(helper.group_of);
-    } catch (const std::invalid_argument&) {
-        return false;
+    std::vector<int> sizes;
+    if (!group_sizes(helper.group_of, sizes)) return false;
+    int total_kendall = 0;
+    for (const int size : sizes) {
+        if (size > config_.max_group_size) return false;
+        total_kendall += kendall_bits(size);
     }
-    for (const auto& m : members) {
-        if (static_cast<int>(m.size()) > config_.max_group_size) return false;
-    }
-    const int total_kendall = kendall_bits_of(members);
     if (helper.ecc.response_bits != total_kendall) return false;
     const ecc::BlockEcc block_ecc(code_);
     if (static_cast<int>(helper.ecc.parity.size()) != block_ecc.helper_bits(total_kendall)) {
@@ -104,30 +117,36 @@ GroupBasedPuf::Reconstruction GroupBasedPuf::reconstruct(const GroupPufHelper& h
 GroupBasedPuf::Reconstruction GroupBasedPuf::reconstruct_measured(
     const GroupPufHelper& helper, const sim::Condition&, std::span<const double> freqs) const {
     if (!helper_consistent(helper)) return {};
-    const auto members = members_from_assignment(helper.group_of);
-    const int degree = inferred_degree(helper);
-    const ecc::BlockEcc block_ecc(code_);
-    const distiller::PolySurface surface(degree, helper.beta);
+    const Partition groups = *partition_from_assignment(helper.group_of);
+    const distiller::PolySurface surface(inferred_degree(helper), helper.beta);
     const auto resid = distiller::residuals(array_->geometry(), freqs, surface);
 
-    const auto noisy = encode_groups(members, resid);
-    const auto rec = block_ecc.reconstruct(noisy.kendall, helper.ecc);
+    const auto noisy = encode_groups(groups, resid);
+    const auto rec = ecc::BlockEcc(code_).reconstruct(noisy.kendall, helper.ecc);
     if (!rec.ok) return {};
 
     // Entropy packing of the corrected Kendall bits, group by group.
-    bits::BitVec key;
-    std::size_t cursor = 0;
-    for (const auto& group : members) {
-        const int g = static_cast<int>(group.size());
-        const int kb = kendall_bits(g);
-        const auto code_slice = bits::slice(rec.value, cursor, static_cast<std::size_t>(kb));
-        cursor += static_cast<std::size_t>(kb);
-        const auto order = kendall_decode_exact(code_slice, g);
-        if (!order) return {}; // corrected bits are not a consistent order
-        const auto packed = compact_encode(*order);
-        key.insert(key.end(), packed.begin(), packed.end());
+    Reconstruction out{true, bits::BitVec(static_cast<std::size_t>(key_bits_of(groups))),
+                       rec.corrected};
+    const auto largest = static_cast<std::size_t>(largest_group(groups));
+    std::vector<int> scratch(2 * largest);
+    const std::span<const std::uint8_t> corrected(rec.value);
+    std::size_t kendall_at = 0;
+    std::size_t key_at = 0;
+    for (int j = 0; j < groups.groups(); ++j) {
+        const int g = groups.size_of(j);
+        const std::span<int> order(scratch.data(), static_cast<std::size_t>(g));
+        const std::span<int> wins(scratch.data() + largest, static_cast<std::size_t>(g));
+        const auto kb = static_cast<std::size_t>(kendall_bits(g));
+        if (!kendall_decode_exact(corrected.subspan(kendall_at, kb), order, wins)) {
+            return {}; // corrected bits are not a consistent order
+        }
+        kendall_at += kb;
+        const auto cb = static_cast<std::size_t>(compact_bits(g));
+        compact_encode(order, std::span(out.key).subspan(key_at, cb));
+        key_at += cb;
     }
-    return {true, key, rec.corrected};
+    return out;
 }
 
 helperdata::Nvm serialize(const GroupPufHelper& helper) {

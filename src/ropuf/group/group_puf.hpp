@@ -90,21 +90,20 @@ public:
                                         const sim::Condition& condition,
                                         std::span<const double> freqs) const;
 
-    /// Total Kendall bits implied by a group assignment (the ECC input size).
-    static int kendall_bits_of(const std::vector<std::vector<int>>& members);
+    /// Total Kendall bits implied by a group partition (the ECC input size).
+    static int kendall_bits_of(const Partition& groups);
 
-    /// Packed key length implied by a group assignment.
-    static int key_bits_of(const std::vector<std::vector<int>>& members);
+    /// Packed key length implied by a group partition.
+    static int key_bits_of(const Partition& groups);
 
     /// Computes the Kendall bit string and the packed key for a given
-    /// members partition and residual map — shared by enrollment,
-    /// reconstruction and the attacker's forward computation.
+    /// partition and residual map — shared by enrollment, reconstruction
+    /// and the attacker's forward computation.
     struct Coded {
         bits::BitVec kendall;
         bits::BitVec key;
     };
-    static Coded encode_groups(const std::vector<std::vector<int>>& members,
-                               const std::vector<double>& residuals);
+    static Coded encode_groups(const Partition& groups, std::span<const double> residuals);
 
     const sim::RoArray& array() const { return *array_; }
     const GroupPufConfig& config() const { return config_; }

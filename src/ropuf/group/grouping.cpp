@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 #include <numeric>
-#include <stdexcept>
 
 namespace ropuf::group {
 
@@ -48,20 +47,35 @@ GroupingResult grouping(std::span<const double> values, double delta_f_th,
     return out;
 }
 
-std::vector<std::vector<int>> members_from_assignment(const std::vector<int>& group_of) {
+bool group_sizes(std::span<const int> group_of, std::vector<int>& sizes) {
+    // n ROs fill at most n dense ids, so any larger id leaves a gap.
+    const int n = static_cast<int>(group_of.size());
     int max_group = 0;
-    for (int g : group_of) {
-        if (g < 1) throw std::invalid_argument("group ids must be >= 1");
+    for (const int g : group_of) {
+        if (g < 1 || g > n) return false;
         max_group = std::max(max_group, g);
     }
-    std::vector<std::vector<int>> members(static_cast<std::size_t>(max_group));
+    sizes.assign(static_cast<std::size_t>(max_group), 0);
+    for (const int g : group_of) ++sizes[static_cast<std::size_t>(g - 1)];
+    return std::find(sizes.begin(), sizes.end(), 0) == sizes.end();
+}
+
+std::optional<Partition> partition_from_assignment(std::span<const int> group_of) {
+    std::vector<int> sizes;
+    if (!group_sizes(group_of, sizes)) return std::nullopt;
+    Partition out;
+    out.offsets.resize(sizes.size() + 1);
+    out.offsets[0] = 0;
+    std::partial_sum(sizes.begin(), sizes.end(), out.offsets.begin() + 1);
+    // Counting sort by id; scanning ROs in index order keeps each group's
+    // members ascending. `sizes` becomes the per-group write cursor.
+    std::copy(out.offsets.begin(), out.offsets.end() - 1, sizes.begin());
+    out.indices.resize(group_of.size());
     for (std::size_t i = 0; i < group_of.size(); ++i) {
-        members[static_cast<std::size_t>(group_of[i] - 1)].push_back(static_cast<int>(i));
+        out.indices[static_cast<std::size_t>(sizes[static_cast<std::size_t>(group_of[i] - 1)]++)] =
+            static_cast<int>(i);
     }
-    for (const auto& m : members) {
-        if (m.empty()) throw std::invalid_argument("group ids must be dense");
-    }
-    return members;
+    return out;
 }
 
 double grouping_entropy_bits(const GroupingResult& grouping) {

@@ -11,6 +11,7 @@
 // more beneficial than having many small groups".
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,10 +38,30 @@ struct GroupingResult {
 GroupingResult grouping(std::span<const double> values, double delta_f_th,
                         int max_group_size = 12);
 
-/// Rebuilds the members lists from a stored group assignment (device side;
-/// members are listed in ascending RO index = the canonical label order).
-/// Throws helperdata-style std::invalid_argument on non-dense ids.
-std::vector<std::vector<int>> members_from_assignment(const std::vector<int>& group_of);
+/// A stored group assignment in flat (CSR) form: the members of group
+/// j+1, in ascending RO index (the canonical label order), are
+/// indices[offsets[j] .. offsets[j+1]).
+struct Partition {
+    std::vector<int> offsets; ///< groups() + 1 entries, offsets[0] = 0
+    std::vector<int> indices; ///< every RO exactly once
+
+    int groups() const { return static_cast<int>(offsets.size()) - 1; }
+    int size_of(int j) const {
+        return offsets[static_cast<std::size_t>(j) + 1] - offsets[static_cast<std::size_t>(j)];
+    }
+    std::span<const int> members(int j) const {
+        return {indices.data() + offsets[static_cast<std::size_t>(j)],
+                static_cast<std::size_t>(size_of(j))};
+    }
+};
+
+/// Group sizes of a stored assignment (device side): sizes[j] = members of
+/// group j+1. False when the ids are not dense: an id < 1 or a gap.
+bool group_sizes(std::span<const int> group_of, std::vector<int>& sizes);
+
+/// Rebuilds the partition from a stored group assignment; nullopt when the
+/// ids are not dense (see group_sizes).
+std::optional<Partition> partition_from_assignment(std::span<const int> group_of);
 
 /// Total extractable entropy sum_j log2(|Gj|!) in bits.
 double grouping_entropy_bits(const GroupingResult& grouping);

@@ -18,31 +18,35 @@ int kendall_pair_index(int i, int j, int g) {
 }
 
 bits::BitVec kendall_encode(const Order& order) {
+    bits::BitVec code(static_cast<std::size_t>(kendall_bits(static_cast<int>(order.size()))));
+    kendall_encode(order, code);
+    return code;
+}
+
+void kendall_encode(std::span<const int> order, std::span<std::uint8_t> code) {
     const int g = static_cast<int>(order.size());
-    // rank_of[label] = position in the descending-frequency sequence.
-    std::vector<int> rank_of(static_cast<std::size_t>(g), -1);
+    assert(static_cast<int>(code.size()) == kendall_bits(g));
+    // Bit (i, j), i < j, is 1 iff the pair is inverted: label j precedes
+    // label i. Every rank pair r < s visits one label pair exactly once.
+    std::fill(code.begin(), code.end(), std::uint8_t{0});
     for (int r = 0; r < g; ++r) {
-        assert(order[static_cast<std::size_t>(r)] >= 0 &&
-               order[static_cast<std::size_t>(r)] < g);
-        rank_of[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])] = r;
-    }
-    bits::BitVec code(static_cast<std::size_t>(kendall_bits(g)));
-    for (int i = 0; i < g; ++i) {
-        for (int j = i + 1; j < g; ++j) {
-            // Bit = 1 iff pair (i, j) is inverted: label j precedes label i.
-            code[static_cast<std::size_t>(kendall_pair_index(i, j, g))] =
-                rank_of[static_cast<std::size_t>(j)] < rank_of[static_cast<std::size_t>(i)] ? 1
-                                                                                            : 0;
+        const int ahead = order[static_cast<std::size_t>(r)];
+        assert(ahead >= 0 && ahead < g);
+        for (int s = r + 1; s < g; ++s) {
+            const int behind = order[static_cast<std::size_t>(s)];
+            if (ahead > behind) {
+                code[static_cast<std::size_t>(kendall_pair_index(behind, ahead, g))] = 1;
+            }
         }
     }
-    return code;
 }
 
 namespace {
 
 /// wins[i] = number of labels that label i beats according to the code.
-std::vector<int> win_counts(const bits::BitVec& code, int g) {
-    std::vector<int> wins(static_cast<std::size_t>(g), 0);
+void win_counts(std::span<const std::uint8_t> code, std::span<int> wins) {
+    const int g = static_cast<int>(wins.size());
+    std::fill(wins.begin(), wins.end(), 0);
     for (int i = 0; i < g; ++i) {
         for (int j = i + 1; j < g; ++j) {
             const auto bit = code[static_cast<std::size_t>(kendall_pair_index(i, j, g))];
@@ -53,27 +57,43 @@ std::vector<int> win_counts(const bits::BitVec& code, int g) {
             }
         }
     }
-    return wins;
 }
 
 } // namespace
 
 std::optional<Order> kendall_decode_exact(const bits::BitVec& code, int g) {
+    Order order(static_cast<std::size_t>(g));
+    std::vector<int> wins(static_cast<std::size_t>(g));
+    if (!kendall_decode_exact(code, order, wins)) return std::nullopt;
+    return order;
+}
+
+bool kendall_decode_exact(std::span<const std::uint8_t> code, std::span<int> order,
+                          std::span<int> wins) {
+    const int g = static_cast<int>(order.size());
     assert(static_cast<int>(code.size()) == kendall_bits(g));
-    const auto wins = win_counts(code, g);
+    assert(wins.size() == order.size());
+    win_counts(code, wins);
     // A valid total order gives distinct win counts g-1, g-2, ..., 0.
-    Order order(static_cast<std::size_t>(g), -1);
+    std::fill(order.begin(), order.end(), -1);
     for (int label = 0; label < g; ++label) {
         const int rank = g - 1 - wins[static_cast<std::size_t>(label)];
-        if (rank < 0 || rank >= g || order[static_cast<std::size_t>(rank)] != -1) {
-            return std::nullopt;
-        }
+        if (rank < 0 || rank >= g || order[static_cast<std::size_t>(rank)] != -1) return false;
         order[static_cast<std::size_t>(rank)] = label;
     }
-    // Win counts being a permutation of 0..g-1 guarantees transitivity for a
-    // tournament built from pairwise bits? It does not in general — verify.
-    if (kendall_encode(order) != code) return std::nullopt;
-    return order;
+    // Every bit must match the order's encoding (label j precedes label i
+    // iff j has more wins). Distinct win counts already force a transitive
+    // tournament, so on 0/1 bits this guard never fires.
+    for (int i = 0; i < g; ++i) {
+        for (int j = i + 1; j < g; ++j) {
+            const std::uint8_t inverted =
+                wins[static_cast<std::size_t>(j)] > wins[static_cast<std::size_t>(i)] ? 1 : 0;
+            if (code[static_cast<std::size_t>(kendall_pair_index(i, j, g))] != inverted) {
+                return false;
+            }
+        }
+    }
+    return true;
 }
 
 bool kendall_is_valid(const bits::BitVec& code, int g) {
@@ -102,7 +122,8 @@ Order kendall_decode_nearest(const bits::BitVec& code, int g) {
 
     // Borda heuristic: rank by win count, then adjacent-transposition local
     // search until no single swap improves the distance.
-    const auto wins = win_counts(code, g);
+    std::vector<int> wins(static_cast<std::size_t>(g));
+    win_counts(code, wins);
     Order order(static_cast<std::size_t>(g));
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](int a, int b) {

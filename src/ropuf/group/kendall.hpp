@@ -12,7 +12,9 @@
 // (rank 0 = highest frequency), labels 0..g-1.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
@@ -30,10 +32,19 @@ int kendall_pair_index(int i, int j, int g);
 /// Encodes a frequency order into its Kendall bit vector.
 bits::BitVec kendall_encode(const Order& order);
 
+/// kendall_encode into caller storage: `code` holds kendall_bits(g) bits.
+void kendall_encode(std::span<const int> order, std::span<std::uint8_t> code);
+
 /// Exact decode: reconstructs the order from a *valid* Kendall codeword by
 /// win counting (a total order gives every label a distinct number of wins).
 /// Returns nullopt when the vector is not a valid codeword (intransitive).
 std::optional<Order> kendall_decode_exact(const bits::BitVec& code, int g);
+
+/// kendall_decode_exact into caller storage: writes the g-label order into
+/// `order`, uses `wins` (g entries) as scratch, and returns false when
+/// `code` is not a valid codeword.
+bool kendall_decode_exact(std::span<const std::uint8_t> code, std::span<int> order,
+                          std::span<int> wins);
 
 /// Nearest-codeword decode: returns the order whose Kendall encoding has
 /// minimal Hamming distance to `code`. Exhaustive for g <= 7; Borda ranking

@@ -86,7 +86,7 @@ struct BchHornerView {
     const std::uint16_t* step_log = nullptr; ///< [n_synd] log(alpha^{8j}) (fallback when mul_tbl null)
     const std::uint16_t* fixup_log = nullptr;///< [n_synd] log(alpha^{-j*pad}) trailing-pad correction
     const int* log_tbl = nullptr;            ///< [field_size] discrete logs ([0] unused)
-    const int* exp_tbl = nullptr;            ///< [field_n] alpha powers
+    const int* exp_tbl = nullptr;            ///< [>= field_n] alpha powers
     int field_n = 0;                         ///< 2^m - 1
     int field_size = 0;                      ///< 2^m
     int n_synd = 0;                          ///< 2t

@@ -134,6 +134,7 @@ TempAwarePuf::Reconstruction TempAwarePuf::reconstruct_measured(
     const int n_pairs = static_cast<int>(helper.pairs.size());
 
     bits::BitVec response;
+    response.reserve(static_cast<std::size_t>(n_pairs));
     for (int p = 0; p < n_pairs; ++p) {
         const auto& rec = helper.records[static_cast<std::size_t>(p)];
         switch (rec.cls) {

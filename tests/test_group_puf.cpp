@@ -63,9 +63,10 @@ TEST(GroupPuf, EncodeGroupsConsistentWithHandComputation) {
     // Two groups: {2, 0} (labels 0->0, 1->2) and {1} (singleton).
     // Residuals: r0 = 5, r1 = 99, r2 = 7 -> group 1 order: label1 (RO 2,
     // value 7) before label0 (RO 0, value 5) -> Kendall bit 1, compact bit 1.
-    const std::vector<std::vector<int>> members{{0, 2}, {1}};
+    const auto groups = ropuf::group::partition_from_assignment(std::vector<int>{1, 2, 1});
+    ASSERT_TRUE(groups.has_value());
     const std::vector<double> residuals{5.0, 99.0, 7.0};
-    const auto coded = GroupBasedPuf::encode_groups(members, residuals);
+    const auto coded = GroupBasedPuf::encode_groups(*groups, residuals);
     EXPECT_EQ(bits::to_string(coded.kendall), "1");
     EXPECT_EQ(bits::to_string(coded.key), "1");
 }

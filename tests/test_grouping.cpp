@@ -12,7 +12,8 @@ namespace {
 using ropuf::group::grouping;
 using ropuf::group::GroupingResult;
 using ropuf::group::grouping_entropy_bits;
-using ropuf::group::members_from_assignment;
+using ropuf::group::group_sizes;
+using ropuf::group::partition_from_assignment;
 
 TEST(Grouping, HandcraftedExample) {
     // Values: 10, 9.5, 8, 7.9, 6 with threshold 1.0.
@@ -123,33 +124,45 @@ TEST(Grouping, EntropyDecreasesWithThreshold) {
     }
 }
 
-TEST(MembersFromAssignment, RebuildsAscendingOrder) {
+std::vector<int> members_of(const ropuf::group::Partition& p, int j) {
+    return {p.members(j).begin(), p.members(j).end()};
+}
+
+TEST(PartitionFromAssignment, RebuildsAscendingOrder) {
     const std::vector<int> group_of{2, 1, 2, 1, 1};
-    const auto members = members_from_assignment(group_of);
-    ASSERT_EQ(members.size(), 2u);
-    EXPECT_EQ(members[0], (std::vector<int>{1, 3, 4}));
-    EXPECT_EQ(members[1], (std::vector<int>{0, 2}));
+    const auto p = partition_from_assignment(group_of);
+    ASSERT_TRUE(p.has_value());
+    ASSERT_EQ(p->groups(), 2);
+    EXPECT_EQ(members_of(*p, 0), (std::vector<int>{1, 3, 4}));
+    EXPECT_EQ(members_of(*p, 1), (std::vector<int>{0, 2}));
+    std::vector<int> sizes;
+    ASSERT_TRUE(group_sizes(group_of, sizes));
+    EXPECT_EQ(sizes, (std::vector<int>{3, 2}));
 }
 
-TEST(MembersFromAssignment, RejectsInvalidIds) {
-    EXPECT_THROW(members_from_assignment({0, 1}), std::invalid_argument);   // id < 1
-    EXPECT_THROW(members_from_assignment({1, 3}), std::invalid_argument);   // gap at 2
-    EXPECT_THROW(members_from_assignment({-1, 1}), std::invalid_argument);
+TEST(PartitionFromAssignment, RejectsInvalidIds) {
+    EXPECT_FALSE(partition_from_assignment(std::vector<int>{0, 1}).has_value());  // id < 1
+    EXPECT_FALSE(partition_from_assignment(std::vector<int>{1, 3}).has_value());  // gap at 2
+    EXPECT_FALSE(partition_from_assignment(std::vector<int>{-1, 1}).has_value());
+    // An id beyond the RO count always leaves a gap; it is refused by
+    // counting, without sizing anything by the id.
+    EXPECT_FALSE(partition_from_assignment(std::vector<int>{1, 2147483647}).has_value());
+    EXPECT_TRUE(partition_from_assignment(std::vector<int>{}).has_value());
 }
 
-TEST(MembersFromAssignment, RoundTripsWithGrouping) {
+TEST(PartitionFromAssignment, RoundTripsWithGrouping) {
     ropuf::rng::Xoshiro256pp rng(168);
     std::vector<double> values(64);
     for (auto& v : values) v = rng.gaussian(0.0, 1.0);
     const auto g = grouping(values, 0.25);
-    const auto members = members_from_assignment(g.group_of);
-    ASSERT_EQ(members.size(), g.members.size());
-    for (std::size_t gi = 0; gi < members.size(); ++gi) {
+    const auto p = partition_from_assignment(g.group_of);
+    ASSERT_TRUE(p.has_value());
+    ASSERT_EQ(static_cast<std::size_t>(p->groups()), g.members.size());
+    for (int gi = 0; gi < p->groups(); ++gi) {
         // Same sets, different order conventions (ascending vs descending-value).
-        auto a = members[gi];
-        auto b = g.members[gi];
+        auto b = g.members[static_cast<std::size_t>(gi)];
         std::sort(b.begin(), b.end());
-        EXPECT_EQ(a, b);
+        EXPECT_EQ(members_of(*p, gi), b);
     }
 }
 
